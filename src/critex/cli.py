@@ -206,8 +206,9 @@ def cmd_picard(ns):
         sec = cfg.get("picard", {})
         tcap = config_mod.get_float(sec, "Tcap_time", default=10.0)
         rungs = config_mod.get_int(sec, "rungs", default=64)
-        q = config_mod.get_float(sec, "q", default=0.0) or None
-        delta = config_mod.get_float(sec, "delta_value", default=0.0) or None
+        # absent keys take the defaults; present ones are validated as given
+        q = config_mod.get_float(sec, "q") if "q" in sec else None
+        delta = config_mod.get_float(sec, "delta_value") if "delta_value" in sec else None
         max_iter = config_mod.get_int(sec, "max_iter", default=40)
         tol = config_mod.get_float(sec, "tol", default=1e-9)
     except (config_mod.ConfigError, OSError, ValueError) as exc:
@@ -215,10 +216,9 @@ def cmd_picard(ns):
         return 2
 
     try:
-        sol, diag = picard.iterate_to_fixed_point(
-            u0, w, params, q=q, delta=delta, max_iter=max_iter, tol=tol,
-            tcap=tcap, rungs=rungs)
-        audit = picard.audit_estimates(sol, u0, w, params, sol.q)
+        op = picard.SolutionMap(u0, w, params, q, picard.geometric_ladder(tcap, rungs))
+        sol, diag = picard.iterate_to_fixed_point(op, delta=delta, max_iter=max_iter, tol=tol)
+        audit = picard.audit_estimates(sol, op)
     except ValueError as exc:
         _print_err(str(exc))
         return 2

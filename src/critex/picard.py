@@ -6,11 +6,15 @@ The solution map
                         + int_0^t s^sigma e^{(t-s)D} w ds
 
 is evaluated on a geometric time ladder and iterated inside the ball
-{ sup_t t^beta ||u(t)||_q <= delta }.  The free and forcing terms are fixed
-data (the forcing integral uses Gauss-Jacobi nodes that absorb the s^sigma
-weight exactly); each iteration only re-evaluates the nonlinear term, by
-fourth-order composite quadrature in log s over the ladder plus an analytic
-free-term approximation of the slice below the first rung.
+{ sup_t t^beta ||u(t)||_q <= delta }.  The map works in Fourier space, where
+e^{tD} multiplies mode xi by exp(-t|xi|^2), and returns to the grid with one
+inverse transform per rung.  The free and forcing terms are fixed data; the
+forcing integral has the exact per-mode multiplier
+t^(sigma+1)/(sigma+1) 1F1(1; sigma+2; -t|xi|^2).  Each iteration only
+re-evaluates the nonlinear term, by fourth-order composite quadrature in
+log s over the ladder plus an analytic free-term approximation of the slice
+below the first rung: every |u_i|^p is transformed once, and the weighted
+sum over the rungs below t_j is carried up the ladder in Fourier space.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import hyp1f1
 
 from .exponents import beta_rate, derive, picard_smallness
 from .field import Field, lr_norm, make_bump
@@ -79,10 +83,13 @@ def _log_quad_weights(intervals, dy):
     """Weights of 4th-order composite quadrature on a uniform grid in y.
 
     intervals + 1 nodes; composite Simpson for even interval counts, Simpson
-    plus a closing 3/8 rule for odd counts, trapezoid for a single interval.
+    plus a closing 3/8 rule for odd counts, trapezoid for a single interval,
+    a zero weight for no interval.
     """
     m = intervals
     w = np.zeros(m + 1)
+    if m == 0:
+        return w  # a single node spans nothing
     if m == 1:
         w[:] = [0.5, 0.5]
     elif m % 2 == 0:
@@ -97,10 +104,37 @@ def _log_quad_weights(intervals, dy):
     return w * dy
 
 
-class SolutionMap:
-    """The map S on one ladder, with the data-dependent terms precomputed."""
+def _running_weights(count):
+    """Weights the composite rule gives a node four or more intervals before its end.
 
-    def __init__(self, u0, w, params, q, times, forcing_nodes=12):
+    Simpson's pattern 1/3, 4/3, 2/3, 4/3, 2/3, ... in units of the step; the
+    rule over m intervals differs from it only on nodes m-3 .. m.
+    """
+    w = np.where(np.arange(count) % 2 == 1, 4.0 / 3.0, 2.0 / 3.0)
+    w[0] = 1.0 / 3.0
+    return w
+
+
+def forcing_multiplier(t, xi2, sigma):
+    """int_0^t s^sigma exp(-(t-s) xi2) ds for sigma > -1, in closed form.
+
+    Substituting s = t u turns it into t^(sigma+1) times Kummer's integral,
+    t^(sigma+1)/(sigma+1) 1F1(1; sigma+2; -t xi2): the forcing term's Fourier
+    multiplier, exact for every mode however stiff.
+    """
+    s1 = sigma + 1.0
+    return t**s1 / s1 * hyp1f1(1.0, s1 + 1.0, -t * xi2)
+
+
+class SolutionMap:
+    """The map S on one ladder, with the data-dependent terms precomputed.
+
+    q must lie in the admissible window; None takes its default.  Every term
+    is assembled mode by mode from real FFT spectra and brought back to the
+    grid with one inverse transform per rung.
+    """
+
+    def __init__(self, u0, w, params, q, times):
         grid = u0.grid
         if w is not None and w.profile.grid != grid:
             raise ValueError("forcing grid does not match data grid")
@@ -108,6 +142,11 @@ class SolutionMap:
         ratios = times[1:] / times[:-1]
         if times.size < 2 or not np.allclose(ratios, ratios[0], rtol=1e-9):
             raise ValueError("ladder must be geometric")
+        if q is None:
+            q = derive(params).q_default
+            if q is None:
+                raise ValueError("no admissible q-window; pass q explicitly")
+        _check_q_in_window(params, q)
         self.grid = grid
         self.params = params
         self.q = float(q)
@@ -118,77 +157,81 @@ class SolutionMap:
         self.prop = Propagator(grid)
         self.u0 = u0
         self.w = w
+        xi2 = self.prop.xi2
 
-        self.free = [self.prop.apply(u0, t, cache=False) for t in times]
-        self.forcing = self._forcing_terms(forcing_nodes)
-        # |e^{(t0/2)D} u0|^p feeds the midpoint rule on the slice [0, t0]
+        u0_hat = np.fft.rfftn(u0.values)
+        self.free = [Field(grid, self._to_grid(u0_hat * np.exp(-t * xi2))) for t in times]
+        self.forcing = self._forcing_terms()
+        # midpoint rule on the slice [0, t0]: t0 e^{(t0/2)D} |e^{(t0/2)D} u0|^p,
+        # the spectrum the nonlinear sum starts from at the first rung
         t0 = times[0]
-        half = self.prop.apply_values(u0.values, 0.5 * t0, cache=False)
-        self._u0_half_pow = np.abs(half) ** self.p
+        half_damp = np.exp(-0.5 * t0 * xi2)
+        half_pow = np.abs(self._to_grid(u0_hat * half_damp)) ** self.p
+        self._slice_hat = t0 * half_damp * np.fft.rfftn(half_pow)
 
-    def _forcing_terms(self, nodes):
+    def _to_grid(self, spec):
+        return np.fft.irfftn(spec, s=self.grid.shape, axes=tuple(range(self.grid.N)))
+
+    def _forcing_terms(self):
+        """int_0^t s^sigma e^{(t-s)D} w ds at every rung, exactly per mode."""
         if self.w is None:
             zero = np.zeros(self.grid.shape)
             return [zero for _ in self.times]
-        x, wts = roots_jacobi(nodes, 0.0, self.sigma)
-        out = []
-        wv = self.w.profile.values
-        for t in self.times:
-            scale = (0.5 * t) ** (self.sigma + 1.0)
-            acc = np.zeros(self.grid.shape)
-            for xk, wk in zip(x, wts):
-                s = 0.5 * t * (1.0 + xk)
-                acc += wk * self.prop.apply_values(wv, t - s, cache=False)
-            out.append(scale * acc)
-        return out
+        w_hat = np.fft.rfftn(self.w.profile.values)
+        return [
+            self._to_grid(w_hat * forcing_multiplier(t, self.prop.xi2, self.sigma))
+            for t in self.times
+        ]
 
-    def nonlinear_term(self, powers, j):
-        """int_0^{t_j} e^{(t_j - s)D} |u(s)|^p ds from ladder samples."""
-        t = self.times[j]
-        t0 = self.times[0]
-        acc = t0 * self.prop.apply_values(self._u0_half_pow, t - 0.5 * t0, cache=False)
-        if j >= 1:
-            wts = _log_quad_weights(j, self.dy) * self.times[: j + 1]
-            for i in range(j):
-                acc += wts[i] * self.prop.apply_values(
-                    powers[i], t - self.times[i], cache=False
-                )
-            acc += wts[j] * powers[j]
-        return acc
+    def nonlinear_term(self, u):
+        """int_0^{t_j} e^{(t_j - s)D} |u(s)|^p ds at every rung, from ladder samples.
+
+        The quadrature sum over i <= j of w_ij e^{(t_j - t_i)D} |u_i|^p is
+        kept in Fourier space.  Its part with the running Simpson weights is
+        carried from rung j-1 to rung j by one damping multiplier; the
+        weights of the last four nodes depend on j and are corrected per rung.
+        """
+        if not np.array_equal(u.times, self.times):
+            raise ValueError("ladder mismatch")
+        times, xi2 = self.times, self.prop.xi2
+        running = _running_weights(times.size) * self.dy * times
+        acc = self._slice_hat.copy()
+        recent = []  # spectra of |u_i|^p on the last four rungs
+        out = []
+        for j, (t, f) in enumerate(zip(times, u.fields)):
+            if j:
+                acc *= np.exp(-(t - times[j - 1]) * xi2)
+            with np.errstate(over="ignore"):  # divergence is detected by the caller
+                spec = np.fft.rfftn(np.abs(f.values) ** self.p)
+            acc += running[j] * spec
+            recent = recent[-3:] + [spec]
+            lo = j + 1 - len(recent)
+            ends = _log_quad_weights(j, self.dy)[lo:] * times[lo : j + 1] - running[lo : j + 1]
+            total = acc.copy()
+            for ti, c, sp in zip(times[lo : j + 1], ends, recent):
+                if c:
+                    total += c * np.exp(-(t - ti) * xi2) * sp
+            out.append(self._to_grid(total))
+        return out
 
     def term_fields(self, u):
         """The three summands of S(u) at every rung (free, nonlinear, forcing)."""
-        powers = [np.abs(f.values) ** self.p for f in u.fields]
-        nl = [Field(self.grid, self.nonlinear_term(powers, j)) for j in range(len(self.times))]
+        nl = [Field(self.grid, v) for v in self.nonlinear_term(u)]
         frc = [Field(self.grid, f) for f in self.forcing]
         return self.free, nl, frc
 
     def apply(self, u):
-        if not np.array_equal(u.times, self.times):
-            raise ValueError("ladder mismatch")
-        with np.errstate(over="ignore"):  # divergence is detected by the caller
-            powers = [np.abs(f.values) ** self.p for f in u.fields]
         fields = []
-        for j in range(len(self.times)):
-            vals = (
-                self.free[j].values
-                + self.nonlinear_term(powers, j)
-                + self.forcing[j]
-            )
-            fields.append(Field(self.grid, vals))
+        for v, free, forcing in zip(self.nonlinear_term(u), self.free, self.forcing):
+            v += free.values
+            v += forcing
+            fields.append(Field(self.grid, v))
         return u.replace_fields(fields)
 
     def free_only(self, q=None, beta=None, delta=math.inf):
         q = self.q if q is None else q
         beta = beta_rate(self.params, q) if beta is None else beta
         return LadderSolution(self.times, list(self.free), float(q), float(beta), delta)
-
-
-def apply_S(u, u0, w, params, q, forcing_nodes=12):
-    """One application of the solution map to a ladder solution."""
-    _check_q_in_window(params, q)
-    op = SolutionMap(u0, w, params, q, u.times, forcing_nodes)
-    return op.apply(u)
 
 
 def _check_q_in_window(params, q):
@@ -292,46 +335,28 @@ def measure_cstar(grid, params, q, tcap=10.0, probes=None, times=None):
     return max(c_free, c_nl * b_nl, c_frc * b_frc)
 
 
-def iterate_to_fixed_point(
-    u0,
-    w,
-    params,
-    q=None,
-    delta=None,
-    max_iter=40,
-    tol=1e-9,
-    tcap=10.0,
-    rungs=64,
-    forcing_nodes=12,
-    cstar=None,
-):
-    """Iterate S from the free term until the ladder distance drops below tol.
+def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
+    """Iterate the map op from its free term until the ladder distance drops below tol.
 
-    Returns (LadderSolution, ContractionDiagnostics).  Divergence (distance
-    growing three times in a row) is reported, not raised.
+    delta defaults to half the largest admissible ball radius.  Returns
+    (LadderSolution, ContractionDiagnostics).  Divergence (distance growing
+    three times in a row) is reported, not raised.
     """
+    params, q = op.params, op.q
+    if delta is not None and not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     der = derive(params)
-    if q is None:
-        if der.q_default is None:
-            raise ValueError("no admissible q-window; pass q explicitly")
-        q = float(der.q_default)
-    _check_q_in_window(params, q)
     beta = float(beta_rate(params, q))
-    grid = u0.grid
-    if delta is None or cstar is None:
-        cstar_val = cstar if cstar is not None else measure_cstar(grid, params, q, tcap)
-    else:
-        cstar_val = cstar
-    delta_max, budget = picard_smallness(params, q, cstar_val)
+    if cstar is None:
+        cstar = measure_cstar(op.grid, params, q, float(op.times[-1]))
+    delta_max, budget = picard_smallness(params, q, cstar)
     if delta is None:
         delta = 0.5 * delta_max
-    data_size = lr_norm(u0, float(der.data_index)) + (
-        0.0 if w is None else lr_norm(w.profile, float(der.forcing_index))
+    data_size = lr_norm(op.u0, float(der.data_index)) + (
+        0.0 if op.w is None else lr_norm(op.w.profile, float(der.forcing_index))
     )
     outside = delta > delta_max or data_size > budget
 
-    times = geometric_ladder(tcap, rungs)
-    op = SolutionMap(u0, w, params, q, times, forcing_nodes)
     u = op.free_only(q=q, beta=beta, delta=delta)
     distances = []
     in_ball_all = u.in_ball
@@ -425,16 +450,16 @@ class EstimateAudit:
         return out.getvalue()
 
 
-def audit_estimates(u, u0, w, params, q, forcing_nodes=12):
-    """Check the three term-by-term bounds at every rung of a ladder solution.
+def audit_estimates(u, op):
+    """Check the three term-by-term bounds at every rung of a ladder solution of op.
 
     The smoothing constants are measured on the same grid over the ladder's
     own time range, with the actual data among the probes, so the audit
     certifies that the inequalities hold with empirical constants.
     """
-    _check_q_in_window(params, q)
+    params, u0, w = op.params, op.u0, op.w
     der = derive(params)
-    q = float(q)
+    q = op.q
     p = float(params.p)
     sigma = float(params.sigma)
     N = params.N
@@ -456,7 +481,6 @@ def audit_estimates(u, u0, w, params, q, forcing_nodes=12):
                 f"inside the q-window"
             )
 
-    op = SolutionMap(u0, w, params, q, u.times, forcing_nodes)
     free, nl, frc = op.term_fields(u)
     tb = u.times**beta
     measured_free = tb * np.array([lr_norm(f, q) for f in free])

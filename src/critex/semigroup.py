@@ -41,6 +41,13 @@ class Propagator:
         self._axes = tuple(range(grid.N))
         self._cache = {}
 
+    @property
+    def xi2(self):
+        """|xi|^2 on the rfftn half-spectrum of the grid, as a read-only view."""
+        view = self._xi2.view()
+        view.flags.writeable = False
+        return view
+
     def multiplier(self, t):
         key = float(t)
         mult = self._cache.get(key)

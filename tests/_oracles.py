@@ -104,6 +104,61 @@ def duhamel_forced_linear(prop, w_values, t, sigma, nodes=400):
     return acc / s1
 
 
+def nonlinear_by_propagation(prop, times, p, u0_values, fields, j):
+    """int_0^{t_j} e^{(t_j - s)D} |u(s)|^p ds by one propagation per ladder node.
+
+    The same quadrature as the Picard map (midpoint slice below the first
+    rung, 4th-order composite rule in log s), summed on the grid: rung j
+    costs j + 1 heat applications and no spectral bookkeeping.
+    """
+    from critex.picard import _log_quad_weights
+
+    t = times[j]
+    t0 = times[0]
+    half = prop.apply_values(u0_values, 0.5 * t0, cache=False)
+    acc = t0 * prop.apply_values(np.abs(half) ** p, t - 0.5 * t0, cache=False)
+    if j >= 1:
+        wts = _log_quad_weights(j, math.log(times[1] / times[0])) * times[: j + 1]
+        for i in range(j):
+            acc += wts[i] * prop.apply_values(np.abs(fields[i]) ** p, t - times[i],
+                                              cache=False)
+        acc += wts[j] * np.abs(fields[j]) ** p
+    return acc
+
+
+def forcing_multiplier_quad(t, xi2, sigma):
+    """int_0^t s^sigma exp(-(t - s) xi2) ds by mpmath quadrature.
+
+    The interval is split where the exponential has decayed by e^-1, e^-10
+    and e^-40 from its peak at s = t, so the boundary layer of width 1/xi2
+    is resolved however large t xi2 is.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        t, xi2, sigma = mpmath.mpf(t), mpmath.mpf(xi2), mpmath.mpf(sigma)
+        cuts = [t - c / xi2 for c in (40, 10, 1) if xi2 > 0 and c / xi2 < t]
+        pts = [mpmath.mpf(0)] + cuts + [t]
+        return float(mpmath.quad(lambda s: s**sigma * mpmath.exp(-(t - s) * xi2), pts))
+
+
+def forcing_field_quad(prop, w_values, t, sigma):
+    """int_0^t s^sigma e^{(t-s)D} w ds with one QUADPACK integral per |xi|^2.
+
+    Each distinct |xi|^2 = a gets int_0^t (t - r)^sigma e^{-a r} dr with the
+    algebraic endpoint weight, independent of any closed form.
+    """
+    xi2 = prop.xi2
+    levels, where = np.unique(xi2, return_inverse=True)
+    mult = np.array([
+        quad(lambda r, a=a: math.exp(-a * r), 0.0, t, weight="alg", wvar=(0.0, sigma),
+             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a in levels
+    ])
+    spec = np.fft.rfftn(w_values) * mult[where].reshape(xi2.shape)
+    return np.fft.irfftn(spec, s=w_values.shape, axes=tuple(range(w_values.ndim)))
+
+
 # Frozen reference values (computed with the oracles above at build time and
 # cross-checked against an independent linearization; see the tests that
 # assert agreement).

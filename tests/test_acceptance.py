@@ -268,12 +268,10 @@ def test_criterion_08_certificate_scaling():
 def test_criterion_09_picard_audit(super_setup):
     start = time.perf_counter()
     u0, w = super_setup["u0"], super_setup["w"]
-    sol, diag = picard.iterate_to_fixed_point(
-        u0, w, SUPER_PARAMS, q=SUPER_Q, cstar=super_setup["cstar"],
-        tcap=10.0, rungs=64)
-    residual = picard.ladder_distance(
-        picard.apply_S(sol, u0, w, SUPER_PARAMS, SUPER_Q), sol)
-    audit = picard.audit_estimates(sol, u0, w, SUPER_PARAMS, SUPER_Q)
+    op = picard.SolutionMap(u0, w, SUPER_PARAMS, SUPER_Q, picard.geometric_ladder(10.0, 64))
+    sol, diag = picard.iterate_to_fixed_point(op, cstar=super_setup["cstar"])
+    residual = picard.ladder_distance(op.apply(sol), sol)
+    audit = picard.audit_estimates(sol, op)
 
     check_times = tuple(float(t) for t in sol.times[::9]) + (float(sol.times[-1]),)
     traj = run(u0, w, SolveConfig(params=SUPER_PARAMS, Tend=10.0,

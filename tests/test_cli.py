@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from critex.config import dump_config, parse_config, strip_meta
 
 SIMPLE_SIM = """\
@@ -224,6 +226,17 @@ def test_picard_cli(tmp_path):
     assert audit.splitlines()[0].startswith("t,free,free_bound")
     ladders = sorted(out.glob("ladder_*.field"))
     assert len(ladders) == 32
+
+
+@pytest.mark.parametrize("line, message", [("q = 0", "window"),
+                                           ("delta_value = 0", "delta")])
+def test_picard_explicit_zero_rejected(tmp_path, line, message):
+    # a present key is validated as given, never read as unset
+    cfg = tmp_path / "picard.ini"
+    cfg.write_text(PICARD_CFG + line + "\n")
+    res = run_cli(["picard", str(cfg)])
+    assert res.returncode == 2, res.stdout
+    assert message in res.stderr
 
 
 def test_seed_profile_override(tmp_path):

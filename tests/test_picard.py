@@ -9,9 +9,9 @@ from critex.exponents import Params, derive, picard_smallness
 from critex.field import Field, ForcingSpec, Grid, lr_norm, make_bump
 from critex.picard import (
     SolutionMap,
-    apply_S,
     audit_estimates,
     beta_function,
+    forcing_multiplier,
     geometric_ladder,
     iterate_to_fixed_point,
     ladder_distance,
@@ -19,7 +19,13 @@ from critex.picard import (
 )
 from critex.semigroup import Propagator
 
-from _oracles import beta_quadrature, duhamel_forced_linear
+from _oracles import (
+    beta_quadrature,
+    duhamel_forced_linear,
+    forcing_field_quad,
+    forcing_multiplier_quad,
+    nonlinear_by_propagation,
+)
 
 HALF = Fraction(-1, 2)
 PARAMS = Params(2, 4, HALF)  # supercritical: p_star = 3
@@ -74,8 +80,8 @@ def test_zero_is_fixed_point():
 def test_zero_data_converges_immediately():
     g = Grid(2, 8.0, 32)
     zero = Field(g, np.zeros(g.shape))
-    sol, diag = iterate_to_fixed_point(zero, None, PARAMS, q=Q, delta=0.1,
-                                       cstar=1.0, tcap=2.0, rungs=8)
+    op = SolutionMap(zero, None, PARAMS, Q, geometric_ladder(2.0, 8))
+    sol, diag = iterate_to_fixed_point(op, delta=0.1, cstar=1.0)
     assert diag.converged
     assert diag.iterates == 1
     assert all(np.all(f.values == 0.0) for f in sol.fields)
@@ -98,14 +104,61 @@ def test_forcing_term_matches_duhamel_oracle():
         )
 
 
-def test_apply_S_validates_q_and_ladder():
+def test_nonlinear_term_matches_propagation_oracle():
+    # rough data, 128 rungs: the Fourier-space sum against one heat
+    # application per node; j = 4, 5 are the first rungs whose sum is carried
+    # from the rung below with the running weights (even and odd rule)
+    g = Grid(2, 8.0, 64)
+    u0 = make_bump(g, "compact_bump", scale=0.5, amplitude=1.0)
+    w = ForcingSpec.from_profile(make_bump(g, "compact_bump", scale=0.2, amplitude=1.0))
+    times = geometric_ladder(10.0, 128)
+    op = SolutionMap(u0, w, PARAMS, Q, times)
+    u = op.apply(op.free_only())
+    nl = op.nonlinear_term(u)
+    fields = [f.values for f in u.fields]
+    for j in (0, 1, 4, 5, 64, 127):
+        ref = nonlinear_by_propagation(op.prop, times, 4.0, u0.values, fields, j)
+        assert np.max(np.abs(nl[j] - ref)) <= 1e-13 * np.max(np.abs(ref)), j
+
+
+@pytest.mark.parametrize("sigma", [-0.5, 0.5])
+def test_forcing_multiplier_matches_mpmath(sigma):
+    for t in (1e-3, 2.0):
+        txi2 = np.geomspace(1e-6, 3e3, 10)
+        got = forcing_multiplier(t, txi2 / t, sigma)
+        for g_val, x in zip(got, txi2):
+            ref = forcing_multiplier_quad(t, x / t, sigma)
+            assert g_val == pytest.approx(ref, rel=1e-13, abs=0.0), (t, x)
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.2])
+def test_forcing_term_exact_on_rough_data(scale):
+    # compact support makes the spectrum decay slowly, so modes with t|xi|^2
+    # in the thousands carry weight; the q = 6 norm of the error is taken
+    # relative to the term's own norm at each checked rung
+    g = Grid(2, 8.0, 64)
+    times = geometric_ladder(10.0, 64)
+    zero = Field(g, np.zeros(g.shape))
+    w = ForcingSpec.from_profile(make_bump(g, "compact_bump", scale=scale, amplitude=1.0))
+    op = SolutionMap(zero, w, PARAMS, Q, times)
+    out = op.apply(op.free_only())
+    prop = Propagator(g)
+    for j in range(0, 64, 9):
+        ref = forcing_field_quad(prop, w.profile.values, times[j], -0.5)
+        err = lr_norm(Field(g, out.fields[j].values - ref), Q)
+        assert err <= 1e-10 * lr_norm(Field(g, ref), Q), j
+
+
+def test_solution_map_validates_q_and_ladder():
     g = Grid(2, 8.0, 32)
     times = geometric_ladder(2.0, 8)
     zero = Field(g, np.zeros(g.shape))
     op = SolutionMap(zero, None, PARAMS, Q, times)
     u = op.free_only()
     with pytest.raises(ValueError, match="window"):
-        apply_S(u, zero, None, PARAMS, 100.0)
+        SolutionMap(zero, None, PARAMS, 100.0, times)
+    with pytest.raises(ValueError, match="delta"):
+        iterate_to_fixed_point(op, delta=0.0, cstar=1.0)
     other = u.replace_fields(u.fields)
     other.times = geometric_ladder(3.0, 8)
     with pytest.raises(ValueError, match="ladder"):
@@ -115,15 +168,15 @@ def test_apply_S_validates_q_and_ladder():
 def test_fixed_point_converges_and_matches_evolver():
     g = Grid(2, 8.0, 64)
     u0, w, cstar = budget_data(g)
-    sol, diag = iterate_to_fixed_point(u0, w, PARAMS, q=Q, cstar=cstar,
-                                       tcap=5.0, rungs=32)
+    op = SolutionMap(u0, w, PARAMS, Q, geometric_ladder(5.0, 32))
+    sol, diag = iterate_to_fixed_point(op, cstar=cstar)
     assert diag.converged
     assert not diag.non_contractive
     assert diag.stayed_in_ball
     assert not diag.outside_guarantee
     assert diag.ratio_estimate < 1.0
     # residual below the declared threshold after one more application
-    res = ladder_distance(apply_S(sol, u0, w, PARAMS, Q), sol)
+    res = ladder_distance(op.apply(sol), sol)
     assert res <= 1e-8
     # distances decrease geometrically once the iteration settles
     d = diag.distances
@@ -145,8 +198,8 @@ def test_ladder_refinement_stability():
     u0, w, cstar = budget_data(g)
     sols = {}
     for rungs in (64, 127):  # 127 = 2*64 - 1 keeps the endpoints aligned
-        sol, diag = iterate_to_fixed_point(u0, w, PARAMS, q=Q, cstar=cstar,
-                                           tcap=5.0, rungs=rungs)
+        op = SolutionMap(u0, w, PARAMS, Q, geometric_ladder(5.0, rungs))
+        sol, diag = iterate_to_fixed_point(op, cstar=cstar)
         assert diag.converged
         sols[rungs] = float(np.max(sol.weighted_norms()))
     rel = abs(sols[64] - sols[127]) / sols[127]
@@ -156,9 +209,9 @@ def test_ladder_refinement_stability():
 def test_audit_margins_nonnegative():
     g = Grid(2, 8.0, 64)
     u0, w, cstar = budget_data(g)
-    sol, diag = iterate_to_fixed_point(u0, w, PARAMS, q=Q, cstar=cstar,
-                                       tcap=5.0, rungs=32)
-    audit = audit_estimates(sol, u0, w, PARAMS, Q)
+    op = SolutionMap(u0, w, PARAMS, Q, geometric_ladder(5.0, 32))
+    sol, diag = iterate_to_fixed_point(op, cstar=cstar)
+    audit = audit_estimates(sol, op)
     assert audit.all_margins_nonnegative
     assert audit.beta_args_nonlinear[0] > 0 and audit.beta_args_nonlinear[1] > 0
     assert audit.cstar_hat > 0
@@ -177,8 +230,8 @@ def test_oversized_data_flagged():
     u0, w, cstar = budget_data(g)
     big_u0 = u0.scaled(100.0)
     big_w = ForcingSpec.from_profile(w.profile.scaled(100.0))
-    sol, diag = iterate_to_fixed_point(big_u0, big_w, PARAMS, q=Q, cstar=cstar,
-                                       tcap=5.0, rungs=24, max_iter=12)
+    op = SolutionMap(big_u0, big_w, PARAMS, Q, geometric_ladder(5.0, 24))
+    sol, diag = iterate_to_fixed_point(op, cstar=cstar, max_iter=12)
     assert diag.outside_guarantee
     # no assertion on convergence: documented as outside the guarantee
 
@@ -192,4 +245,4 @@ def test_audit_rejects_out_of_ball():
     cramped = u.replace_fields(u.fields)
     cramped.delta = 1e-300
     with pytest.raises(ValueError, match="ball"):
-        audit_estimates(cramped, u0, w, PARAMS, Q)
+        audit_estimates(cramped, op)
