@@ -315,6 +315,8 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
     negative and the forcing mass is positive, matching the sign of
     N/2 - sigma - p/(p-1).
     """
+    if R is not None and not (R > 0):
+        raise ValueError(f"R must be positive, got {R}")
     grid = w.profile.grid
     sigma = float(params.sigma)
     pp = _pp(params)

@@ -162,7 +162,8 @@ def cmd_simulate(ns):
             Tend=config_mod.get_float(solve, "Tend_time"),
             dt0=config_mod.get_float(solve, "dt0_time", default=1e-4),
             dt_min=config_mod.get_float(solve, "dt_min_time", default=1e-12),
-            dt_max=(config_mod.get_float(solve, "dt_max_time", default=0.0) or None),
+            dt_max=(config_mod.get_float(solve, "dt_max_time")
+                    if "dt_max_time" in solve else None),
             Umax=config_mod.get_float(solve, "Umax_value", default=1e8),
             tol_step=config_mod.get_float(solve, "tol_step", default=1e-7),
             snapshot_every=config_mod.get_int(solve, "snapshot_every", default=0),
@@ -258,7 +259,7 @@ def cmd_certificate(ns):
         w = ForcingSpec.from_profile(w_profile)
         sec = cfg.get("certificate", {})
         ladder = config_mod.get_floats(sec, "T_ladder_time")
-        R = config_mod.get_float(sec, "R_length", default=0.0) or None
+        R = config_mod.get_float(sec, "R_length") if "R_length" in sec else None
         label = config_mod.get_str(sec, "cutoffs", default="default")
         cutoffs = {"default": cert_mod.default_cutoffs,
                    "steep": cert_mod.steep_cutoffs}[label]()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .exponents import Params, derive
-from .field import Field, boundary_shell_fraction
+from .field import Field, ForcingSpec, boundary_shell_fraction
 from .semigroup import Propagator
 
 _GROW_CAP = 4.0
@@ -46,7 +46,9 @@ class SolveConfig:
 
     dt_max defaults to max(dt0, Tend/500); record_times are hit exactly and
     snapshotted.  Set nonlinear=False to integrate only the linear forced
-    equation (diagnostic mode).
+    equation (diagnostic mode).  A run that continues a trajectory caps its
+    steps by this config's effective_dt_max, the value a fresh run to the
+    new Tend would use, and ignores dt0: the step-size proposal carries over.
     """
 
     params: Params
@@ -69,6 +71,8 @@ class SolveConfig:
             raise ValueError("Umax must be positive")
         if not (self.tol_step > 0):
             raise ValueError("tol_step must be positive")
+        if self.dt_max is not None and not (self.dt_max > 0):
+            raise ValueError("dt_max must be positive")
 
     @property
     def effective_dt_max(self):
@@ -116,8 +120,24 @@ def step(u, t, dt, params, w=None, nonlinear=True):
 
 
 @dataclass
+class EndState:
+    """Where a run that reached its horizon stopped: enough to continue it."""
+
+    t: float
+    v: Field
+    dt: float
+    hist: deque
+    accepted: int
+    w: ForcingSpec | None
+
+
+@dataclass
 class Trajectory:
-    """Recorded norms, snapshots and the termination verdict of one run."""
+    """Recorded norms, snapshots and the termination verdict of one run.
+
+    A run that reached its horizon also carries its end state, from which
+    `run` can continue it to a later horizon.
+    """
 
     params: Params
     q: float
@@ -133,6 +153,7 @@ class Trajectory:
     verdict: Verdict = Verdict.STALLED
     t_star: float | None = None
     boundary_frac_max: float = 0.0
+    end: EndState | None = None
 
     @property
     def boundary_flagged(self):
@@ -176,9 +197,38 @@ def recording_norms(params):
     return q, beta, float(der.data_index)
 
 
-def run(u0, w, cfg):
-    """Advance from u0 with adaptive step doubling until blow-up or horizon."""
-    grid = u0.grid
+def _same_forcing(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.profile.grid == b.profile.grid and np.array_equal(a.profile.values,
+                                                               b.profile.values)
+
+
+def _end_state(traj, w, cfg):
+    """The end state of traj, after checking that cfg may continue it."""
+    end = traj.end
+    if end is None:
+        raise ValueError(f"cannot continue a run that ended in {traj.verdict.value}")
+    if not (cfg.Tend > end.t):
+        raise ValueError(f"Tend = {cfg.Tend} does not lie beyond the stored t = {end.t}")
+    if cfg.params != traj.params:
+        raise ValueError("params differ from those of the run being continued")
+    if not _same_forcing(w, end.w):
+        raise ValueError("forcing or grid differs from that of the run being continued")
+    return end
+
+
+def run(start, w, cfg):
+    """Advance with adaptive step doubling until blow-up or cfg.Tend.
+
+    start is either initial data (a Field at t = 0) or a Trajectory that
+    reached its horizon.  A trajectory is continued from its end state, and
+    its recorded series and snapshots run on from t = 0.  With one dt_max
+    for both segments the result is bitwise that of a single run to
+    cfg.Tend that records at the earlier horizon.
+    """
+    end = _end_state(start, w, cfg) if isinstance(start, Trajectory) else None
+    grid = start.grid if end is None else end.v.grid
     if w is not None and w.profile.grid != grid:
         raise ValueError("forcing grid does not match initial-data grid")
     q, beta, d = recording_norms(cfg.params)
@@ -186,12 +236,20 @@ def run(u0, w, cfg):
                       cfg.nonlinear)
     vol = grid.cell_volume
 
-    record_set = {float(t) for t in cfg.record_times if 0.0 < t <= cfg.Tend}
+    t = 0.0 if end is None else end.t
+    record_set = {float(s) for s in cfg.record_times if t < s <= cfg.Tend}
     targets = sorted(record_set | {float(cfg.Tend)})
 
-    times, linf_s, lq_s, ld_s, weighted_s, fluct_s = [], [], [], [], [], []
-    snapshots = []
-    boundary_max = 0.0
+    if end is None:
+        times, linf_s, lq_s, ld_s, weighted_s, fluct_s = [], [], [], [], [], []
+        snapshots = []
+        boundary_max = 0.0
+    else:
+        times, linf_s, lq_s, ld_s, weighted_s, fluct_s = (
+            a.tolist() for a in (start.times, start.linf, start.lq, start.ld,
+                                 start.weighted, start.lq_fluct))
+        snapshots = list(start.snapshots)
+        boundary_max = start.boundary_frac_max
     mean_weight = 1.0 / grid.size
 
     def record(t, values):
@@ -214,17 +272,21 @@ def run(u0, w, cfg):
             boundary_max = max(boundary_max, frac)
         return linf
 
-    v = np.array(u0.values, dtype=np.float64)
-    t = 0.0
-    record(0.0, v)
-    if cfg.snapshot_every > 0 or 0.0 in record_set:
-        snapshots.append((0.0, u0))
-
-    dt = min(cfg.dt0, cfg.effective_dt_max, targets[0])
     dt_max = cfg.effective_dt_max
-    hist = deque(maxlen=10)
-    hist.append(linf_s[-1])
-    accepted = 0
+    if end is None:
+        v = np.array(start.values, dtype=np.float64)
+        record(0.0, v)
+        if cfg.snapshot_every > 0 or 0.0 in record_set:
+            snapshots.append((0.0, start))
+        dt = min(cfg.dt0, dt_max, targets[0])
+        hist = deque(maxlen=10)
+        hist.append(linf_s[-1])
+        accepted = 0
+    else:
+        v = end.v.values
+        dt = end.dt
+        hist = deque(end.hist, maxlen=end.hist.maxlen)
+        accepted = end.accepted
     ti = 0
     verdict, t_star = None, None
 
@@ -300,6 +362,8 @@ def run(u0, w, cfg):
         verdict=verdict,
         t_star=t_star,
         boundary_frac_max=boundary_max,
+        end=(EndState(t, Field(grid, v), dt, hist, accepted, w)
+             if verdict is Verdict.REACHED_HORIZON else None),
     )
 
 

@@ -290,18 +290,24 @@ def sup_smoothing_ratio(prop, probes, times, r_src, r_dst):
     pre-saturation range: it is the constant under which the audited bounds
     actually hold on the torus.
     """
-    N = prop.grid.N
-    exponent = (N / 2.0) * (
+    grid = prop.grid
+    exponent = (grid.N / 2.0) * (
         1.0 / r_src - (0.0 if r_dst == math.inf else 1.0 / r_dst)
     )
+    xi2, axes = prop.xi2, tuple(range(grid.N))
     best = 0.0
     for probe in probes:
+        if probe.grid != grid:
+            raise ValueError("probe grid does not match propagator grid")
         nsrc = lr_norm(probe, r_src)
         if nsrc == 0.0:
             continue
+        spec = np.fft.rfftn(probe.values)
         for t in times:
-            val = lr_norm(prop.apply(probe, float(t), cache=False), r_dst)
-            best = max(best, val * float(t) ** exponent / nsrc)
+            t = float(t)
+            heated = np.fft.irfftn(spec * np.exp(-t * xi2), s=grid.shape, axes=axes)
+            val = lr_norm(Field(grid, heated), r_dst)
+            best = max(best, val * t**exponent / nsrc)
     return best
 
 

@@ -58,18 +58,14 @@ class Propagator:
             self._cache[key] = mult
         return mult
 
-    def apply_values(self, values, t, cache=True):
+    def apply_values(self, values, t):
         if t == 0.0:
             return values
-        if cache:
-            mult = self.multiplier(t)
-        else:
-            mult = np.exp(-float(t) * self._xi2)
         spec = np.fft.rfftn(values)
-        spec *= mult
+        spec *= self.multiplier(t)
         return np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
 
-    def apply(self, f, t, cache=True):
+    def apply(self, f, t):
         """Evolve a field by time t >= 0; t = 0 is the identity."""
         if f.grid != self.grid:
             raise ValueError("field grid does not match propagator grid")
@@ -77,7 +73,7 @@ class Propagator:
             raise ValueError(f"t must be >= 0, got {t}")
         if t == 0.0:
             return f
-        return Field(self.grid, self.apply_values(f.values, t, cache=cache))
+        return Field(self.grid, self.apply_values(f.values, t))
 
     def laplacian_values(self, values):
         spec = np.fft.rfftn(values)

@@ -8,7 +8,7 @@ triggering the reaction ODE within a safety factor of the horizon; on the
 periodic box the mean accumulates the injected forcing mass instead of
 dispersing, so the raw weighted norm grows slowly for every forced run and
 only the fluctuation part carries the dispersive decay.  Ambiguous runs are
-retried with a tenfold horizon before reporting Undetermined.
+continued to a tenfold horizon before reporting Undetermined.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .evolve import SolveConfig, Verdict, run
+from .evolve import SolveConfig, StepOverflow, Verdict, run
 from .exponents import (
     Params,
     Regime,
@@ -180,6 +180,11 @@ def classify_run(traj, params, plan, tend, wbar=0.0):
     return None, None, f"tail slope {slope:.3g}, projected blow-up {proj:.3g}"
 
 
+# What a job may raise for numerical reasons; anything else is a bug and
+# fails the sweep instead of being reported as an Undetermined point.
+_JOB_FAILURES = (ValueError, ArithmeticError, StepOverflow)
+
+
 def _run_job(plan, job):
     sigma, p, scale = job
     try:
@@ -187,7 +192,7 @@ def _run_job(plan, job):
         theory = _theory_label(params)
         u0, w = _job_data(plan, params, scale)
         wbar = w.mass / (2.0 * plan.L) ** plan.N
-        tend = plan.tend
+        start, tend = u0, plan.tend
         while True:
             cfg = SolveConfig(
                 params=params,
@@ -197,7 +202,7 @@ def _run_job(plan, job):
                 tol_step=plan.tol_step,
                 record_times=(tend,),
             )
-            traj = run(u0, w, cfg)
+            traj = run(start, w, cfg)
             verdict, t_star, reason = classify_run(traj, params, plan, tend, wbar)
             if verdict is not None:
                 return PhasePoint(p, sigma, scale, verdict, t_star, reason,
@@ -205,8 +210,8 @@ def _run_job(plan, job):
             if tend >= plan.tend_max:
                 return PhasePoint(p, sigma, scale, UNDETERMINED, None,
                                   f"horizon: {reason}", theory, tend)
-            tend = min(tend * 10.0, plan.tend_max)
-    except Exception as exc:  # job failures must not abort the sweep
+            start, tend = traj, min(tend * 10.0, plan.tend_max)
+    except _JOB_FAILURES as exc:  # numerical failures must not abort the sweep
         return PhasePoint(p, sigma, scale, UNDETERMINED, None,
                           f"error: {exc}", _safe_theory(plan, p, sigma), plan.tend)
 
@@ -214,7 +219,7 @@ def _run_job(plan, job):
 def _safe_theory(plan, p, sigma):
     try:
         return _theory_label(Params(N=plan.N, p=p, sigma=sigma))
-    except Exception:
+    except _JOB_FAILURES:
         return ""
 
 

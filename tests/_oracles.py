@@ -100,7 +100,7 @@ def duhamel_forced_linear(prop, w_values, t, sigma, nodes=400):
     acc = np.zeros_like(w_values)
     for tk, wk in zip(tau, weights):
         s = tk ** (1.0 / s1)
-        acc = acc + wk * prop.apply_values(w_values, t - s, cache=False)
+        acc = acc + wk * prop.apply_values(w_values, t - s)
     return acc / s1
 
 
@@ -115,15 +115,33 @@ def nonlinear_by_propagation(prop, times, p, u0_values, fields, j):
 
     t = times[j]
     t0 = times[0]
-    half = prop.apply_values(u0_values, 0.5 * t0, cache=False)
-    acc = t0 * prop.apply_values(np.abs(half) ** p, t - 0.5 * t0, cache=False)
+    half = prop.apply_values(u0_values, 0.5 * t0)
+    acc = t0 * prop.apply_values(np.abs(half) ** p, t - 0.5 * t0)
     if j >= 1:
         wts = _log_quad_weights(j, math.log(times[1] / times[0])) * times[: j + 1]
         for i in range(j):
-            acc += wts[i] * prop.apply_values(np.abs(fields[i]) ** p, t - times[i],
-                                              cache=False)
+            acc += wts[i] * prop.apply_values(np.abs(fields[i]) ** p, t - times[i])
         acc += wts[j] * np.abs(fields[j]) ** p
     return acc
+
+
+def smoothing_ratio_by_propagation(prop, probes, times, r_src, r_dst):
+    """sup over probes and times of the q -> r smoothing ratio, one heat
+    application (forward and inverse transform) per probe and time."""
+    from critex.field import lr_norm
+
+    exponent = (prop.grid.N / 2.0) * (
+        1.0 / r_src - (0.0 if r_dst == math.inf else 1.0 / r_dst)
+    )
+    best = 0.0
+    for probe in probes:
+        nsrc = lr_norm(probe, r_src)
+        if nsrc == 0.0:
+            continue
+        for t in times:
+            val = lr_norm(prop.apply(probe, float(t)), r_dst)
+            best = max(best, val * float(t) ** exponent / nsrc)
+    return best
 
 
 def forcing_multiplier_quad(t, xi2, sigma):

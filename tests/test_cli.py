@@ -239,6 +239,18 @@ def test_picard_explicit_zero_rejected(tmp_path, line, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("command, base, line, message", [
+    ("simulate", SIMPLE_SIM, "dt_max_time = 0", "dt_max"),
+    ("certificate", CERT_CFG, "R_length = 0", "R must be positive"),
+])
+def test_explicit_zero_rejected(tmp_path, command, base, line, message):
+    cfg = tmp_path / f"{command}.ini"
+    cfg.write_text(base + line + "\n")
+    res = run_cli([command, str(cfg)])
+    assert res.returncode == 2, res.stdout
+    assert message in res.stderr
+
+
 def test_seed_profile_override(tmp_path):
     import numpy as np
     from critex.field import Field, Grid, write_snapshot

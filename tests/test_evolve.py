@@ -162,6 +162,67 @@ def test_determinism_bitwise():
     assert t1.norms_csv() == t2.norms_csv()
 
 
+def _split_run_case():
+    g = Grid(1, 4.0, 32)
+    params = Params(1, 2, HALF)
+    # u0 touches the box face, so the boundary fraction peaks before T1
+    u0 = make_bump(g, "compact_bump", center=(3.0,), scale=1.0, amplitude=1.0)
+    w = ForcingSpec.from_profile(make_bump(g, "gaussian", scale=0.3, amplitude=0.5))
+    return params, u0, w
+
+
+def test_continued_run_equals_one_run():
+    # stopping at T1 and continuing to T2 is bitwise the run to T2 that
+    # records at T1; the continued segment blows up
+    params, u0, w = _split_run_case()
+    T1, T2 = 0.5, 3.0
+    same = dict(params=params, dt_max=0.05, snapshot_every=50)
+    first = run(u0, w, SolveConfig(Tend=T1, record_times=(T1,), **same))
+    assert first.verdict is Verdict.REACHED_HORIZON and first.end.t == T1
+    cfg2 = SolveConfig(Tend=T2, record_times=(T2,), **same)
+    split = run(first, w, cfg2)
+    whole = run(u0, w, SolveConfig(Tend=T2, record_times=(T1, T2), **same))
+    assert len(whole.snapshots) > 10
+    assert whole.verdict is Verdict.BLEW_UP and whole.t_star > T1
+    for traj in (split, run(first, w, cfg2)):  # continuing leaves `first` intact
+        for name in ("times", "linf", "lq", "ld", "weighted", "lq_fluct"):
+            assert np.array_equal(getattr(traj, name), getattr(whole, name),
+                                  equal_nan=True), name
+        assert [t for t, _ in traj.snapshots] == [t for t, _ in whole.snapshots]
+        for (_, a), (_, b) in zip(traj.snapshots, whole.snapshots):
+            assert np.array_equal(a.values, b.values)
+        assert traj.verdict is whole.verdict and traj.t_star == whole.t_star
+        assert traj.boundary_frac_max == whole.boundary_frac_max
+        assert traj.end is None
+
+
+def test_continuation_rejects_bad_input():
+    params, u0, w = _split_run_case()
+    first = run(u0, w, SolveConfig(params=params, Tend=0.5, record_times=(0.5,)))
+    later = SolveConfig(params=params, Tend=1.0)
+    with pytest.raises(ValueError, match="beyond"):
+        run(first, w, SolveConfig(params=params, Tend=0.5))
+    with pytest.raises(ValueError, match="params"):
+        run(first, w, SolveConfig(params=Params(1, 3, HALF), Tend=1.0))
+    with pytest.raises(ValueError, match="forcing"):
+        run(first, w.scaled(2.0), later)
+    with pytest.raises(ValueError, match="forcing"):
+        run(first, None, later)
+    other = make_bump(Grid(1, 4.0, 64), "gaussian", scale=0.3, amplitude=0.5)
+    with pytest.raises(ValueError, match="grid"):
+        run(first, ForcingSpec.from_profile(other), later)
+    blown = run(u0, w, SolveConfig(params=params, Tend=3.0))
+    assert blown.verdict is Verdict.BLEW_UP
+    with pytest.raises(ValueError, match="BlewUpAt"):
+        run(blown, w, SolveConfig(params=params, Tend=4.0))
+    # steps of dt_min already fail tol_step: the run stalls at once
+    stalled = run(u0, w, SolveConfig(params=params, Tend=1.0, dt0=0.1, dt_min=0.1,
+                                     tol_step=1e-15))
+    assert stalled.verdict is Verdict.STALLED
+    with pytest.raises(ValueError, match="Stalled"):
+        run(stalled, w, SolveConfig(params=params, Tend=2.0))
+
+
 def test_record_times_hit_exactly():
     g = small_grid()
     cfg = SolveConfig(params=Params(1, 2, HALF), Tend=1.0,
@@ -242,6 +303,8 @@ def test_invalid_inputs():
         SolveConfig(params=Params(1, 2, HALF), Tend=-1.0)
     with pytest.raises(ValueError):
         SolveConfig(params=Params(1, 2, HALF), Tend=1.0, dt_min=1.0, dt0=0.1)
+    with pytest.raises(ValueError, match="dt_max"):
+        SolveConfig(params=Params(1, 2, HALF), Tend=1.0, dt_max=0.0)
     other = Grid(1, 2.0, 16)
     w = ForcingSpec.from_profile(const_field(other, 1.0))
     with pytest.raises(ValueError, match="grid"):

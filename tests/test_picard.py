@@ -16,6 +16,7 @@ from critex.picard import (
     iterate_to_fixed_point,
     ladder_distance,
     measure_cstar,
+    sup_smoothing_ratio,
 )
 from critex.semigroup import Propagator
 
@@ -25,6 +26,7 @@ from _oracles import (
     forcing_field_quad,
     forcing_multiplier_quad,
     nonlinear_by_propagation,
+    smoothing_ratio_by_propagation,
 )
 
 HALF = Fraction(-1, 2)
@@ -147,6 +149,22 @@ def test_forcing_term_exact_on_rough_data(scale):
         ref = forcing_field_quad(prop, w.profile.values, times[j], -0.5)
         err = lr_norm(Field(g, out.fields[j].values - ref), Q)
         assert err <= 1e-10 * lr_norm(Field(g, ref), Q), j
+
+
+def test_sup_smoothing_ratio_matches_per_time_propagation():
+    # one forward transform per probe gives the constant of the per-time
+    # heat applications bit for bit, on rough data and every index pair used
+    g = Grid(2, 8.0, 64)
+    probes = [make_bump(g, "compact_bump", scale=s, amplitude=1.0) for s in (0.2, 0.5, 2.0)]
+    probes.append(Field(g, np.zeros(g.shape)))
+    times = np.geomspace(1e-5, 10.0, 48)
+    prop = Propagator(g)
+    for r_src, r_dst in ((3.0, 6.0), (1.5, 6.0), (1.2, 6.0), (2.0, math.inf)):
+        got = sup_smoothing_ratio(prop, probes, times, r_src, r_dst)
+        assert got == smoothing_ratio_by_propagation(prop, probes, times, r_src, r_dst)
+        assert got > 0.0
+    with pytest.raises(ValueError, match="grid"):
+        sup_smoothing_ratio(prop, [make_bump(Grid(2, 8.0, 32), "compact_bump")], times, 3.0, 6.0)
 
 
 def test_solution_map_validates_q_and_ladder():

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from critex import evolve, sweep
+from critex.exponents import Params
 from critex.sweep import (
     BLOWUP,
     GLOBAL_CANDIDATE,
@@ -85,6 +87,40 @@ def test_failures_become_undetermined():
     pts = execute(plan)
     assert pts[0].verdict == UNDETERMINED
     assert pts[0].reason.startswith("error:")
+
+
+def test_programming_errors_fail_the_sweep(monkeypatch):
+    # only numerical failures become Undetermined; a bug propagates
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(sweep, "run", broken)
+    with pytest.raises(TypeError, match="bug"):
+        execute(tiny_plan())
+
+
+def test_escalation_continues_the_first_run(monkeypatch):
+    # N = 1, sigma = -1/2: every p blows up; this one only after the first
+    # horizon, so the job is continued once, from t = 10 to t = 100
+    plan = tiny_plan(N=1, n=32, p_values=(2.0,), data_scales=(0.3,), tend=10.0)
+    starts = []
+
+    def counting(start, w, cfg):
+        starts.append(start)
+        return evolve.run(start, w, cfg)
+
+    monkeypatch.setattr(sweep, "run", counting)
+    (pt,) = execute(plan)
+    assert (pt.verdict, pt.tend_used) == (BLOWUP, 100.0)
+    assert len(starts) == 2
+    assert isinstance(starts[1], evolve.Trajectory) and starts[1].end.t == 10.0
+    params = Params(N=1, p=2.0, sigma=-0.5)
+    u0, w = sweep._job_data(plan, params, 0.3)
+    fresh = evolve.run(u0, w, evolve.SolveConfig(params=params, Tend=100.0,
+                                                 record_times=(100.0,)))
+    assert fresh.verdict is evolve.Verdict.BLEW_UP
+    assert pt.t_star == pytest.approx(fresh.t_star, rel=1e-3)
+    assert pt.t_star > 10.0
 
 
 def test_worker_independence():
