@@ -7,8 +7,12 @@ A hypothetical global solution forces the inequality
 
 with mu a rescaled spatial cutoff and I1, I2 the dissipation functionals of
 the test function.  All ingredients are computable: the time factors are 1-D
-adaptive quadratures with the singular weight absorbed into the rule, the
-space factors are grid quadratures with a spectral Laplacian.  Tracking the
+adaptive quadratures with the singular weight absorbed into the rule.  The
+spatial factor mu = xi(|x|^2/T)^{2p'} is radial, so it and its Laplacian
+(4 s g''(s) + 2N g'(s)) / T, with s = |x|^2/T and g = xi^{2p'}, are
+evaluated in closed form once per shell of grid points with equal |x|^2;
+the space integrals are sums over shells weighted by the number of points
+in each (or, for the forcing factor, by w summed over each).  Tracking the
 implied upper bound on the forcing mass along a T-ladder turns the scaling
 argument into a numerical verdict: if the bound decays, a positive-mass
 forcing is contradicted and no global solution can exist.
@@ -26,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .field import Field, integral
-from .semigroup import Propagator
+from .field import Grid
 
-# Quotient guard: where mu is this small the spectrally computed Laplacian is
-# dominated by truncation/roundoff noise that the negative mu power then
-# amplifies without bound.  The discarded region is fixed in the rescaled
-# coordinate |x|^2/T, so the T-scaling of the integrals is unaffected and the
-# value changes at the 0.1% level.
+# Quotient guard: the exact quotient mu^{-1/(p-1)} |Lap mu|^{p'} is bounded
+# (the xi powers cancel), but its first factor overflows where mu underflows,
+# so it is evaluated only where mu exceeds this floor.  The discarded region is
+# fixed in the rescaled coordinate |x|^2/T, so the T-scaling of the integrals
+# is unaffected.
 _MU_FLOOR = 1e-6
 
 
@@ -47,20 +50,44 @@ def _vectorized(fn):
 
 
 def _smoothstep_pair(sharpness=1.0):
-    """xi: 1 on [0,1], 0 on [2,inf), smooth exp(-1/s) transition on (1,2)."""
+    """xi: 1 on [0,1], 0 on [2,inf), smooth exp(-1/s) transition on (1,2).
 
-    @_vectorized
-    def xi(r):
-        out = np.zeros_like(r)
-        out[r <= 1.0] = 1.0
-        mid = (r > 1.0) & (r < 2.0)
-        rm = r[mid]
-        a = np.exp(-sharpness / (2.0 - rm))
-        b = np.exp(-sharpness / (rm - 1.0))
-        out[mid] = a / (a + b)
-        return out
+    Returns xi with its closed-form first and second derivatives.  On (1,2)
+    xi = a/(a+b) = 1/(1+e^u) with a = exp(-k/(2-r)), b = exp(-k/(r-1)) and
+    u = k/(2-r) - k/(r-1), so with q = xi(1-xi) = ab/(a+b)^2:
+    xi' = -q u' and xi'' = q (1-2 xi) u'^2 - q u''.
+    """
+    k = sharpness
 
-    return xi
+    def piecewise(shoulder, inner):
+        @_vectorized
+        def fn(r):
+            out = np.zeros_like(r)
+            out[r <= 1.0] = inner
+            mid = (r > 1.0) & (r < 2.0)
+            rm = r[mid]
+            a = np.exp(-k / (2.0 - rm))
+            b = np.exp(-k / (rm - 1.0))
+            out[mid] = shoulder(rm, a, b)
+            return out
+
+        return fn
+
+    def u_d(rm):
+        return k / (rm - 1.0) ** 2 + k / (2.0 - rm) ** 2
+
+    def xi(rm, a, b):
+        return a / (a + b)
+
+    def xi_d(rm, a, b):
+        return -(a * b / (a + b) ** 2) * u_d(rm)
+
+    def xi_dd(rm, a, b):
+        q = a * b / (a + b) ** 2
+        u_dd = 2.0 * k / (2.0 - rm) ** 3 - 2.0 * k / (rm - 1.0) ** 3
+        return q * (1.0 - 2.0 * xi(rm, a, b)) * u_d(rm) ** 2 - q * u_dd
+
+    return piecewise(xi, 1.0), piecewise(xi_d, 0.0), piecewise(xi_dd, 0.0)
 
 
 def _eta_bump(power=1.0):
@@ -92,23 +119,30 @@ def _eta_bump(power=1.0):
 
 @dataclass(frozen=True)
 class Cutoffs:
-    """A spatial shoulder profile xi and a temporal bump eta (with eta')."""
+    """A spatial shoulder profile xi (with xi', xi'') and a temporal bump eta
+    (with eta')."""
 
     xi: object
+    xi_d: object
+    xi_dd: object
     eta: object
     eta_d: object
     label: str
 
 
 def default_cutoffs():
+    xi, xi_d, xi_dd = _smoothstep_pair(1.0)
     eta, eta_d = _eta_bump(power=1.0)
-    return Cutoffs(xi=_smoothstep_pair(1.0), eta=eta, eta_d=eta_d, label="default")
+    return Cutoffs(xi=xi, xi_d=xi_d, xi_dd=xi_dd, eta=eta, eta_d=eta_d,
+                   label="default")
 
 
 def steep_cutoffs():
     """A second valid pair; verdicts must not depend on the choice."""
+    xi, xi_d, xi_dd = _smoothstep_pair(2.0)
     eta, eta_d = _eta_bump(power=2.0)
-    return Cutoffs(xi=_smoothstep_pair(2.0), eta=eta, eta_d=eta_d, label="steep")
+    return Cutoffs(xi=xi, xi_d=xi_d, xi_dd=xi_dd, eta=eta, eta_d=eta_d,
+                   label="steep")
 
 
 def _pp(params):
@@ -149,92 +183,131 @@ def time_factor_dissipation(params, cutoffs):
     return pp**pp * _quad(lambda s: np.abs(cutoffs.eta_d(s)) ** pp)
 
 
+@dataclass(frozen=True, eq=False)
+class Shells:
+    """The grid's points grouped into shells of equal |x|^2 = h^2 m.
+
+    A point at integer offsets (i, j, l) from the origin lies on shell
+    m = i^2 + j^2 + l^2; a 128^3 grid has 8,041 occupied shells.
+
+    A radial function takes one value per shell, so its grid sum is a sum
+    over the occupied shells weighted by ``count``, and its sum against a
+    field is weighted by the field summed over each shell (``sum``).
+    """
+
+    grid: Grid
+    m: np.ndarray  # shell of each grid point, flattened in C order
+    occupied: np.ndarray  # the shells that hold grid points, ascending
+    count: np.ndarray  # grid points in each occupied shell
+
+    @classmethod
+    def of(cls, grid):
+        k2 = (np.arange(grid.n) - grid.n // 2) ** 2  # -L + h i = h (i - n/2)
+        m = k2
+        for _ in range(grid.N - 1):
+            m = np.add.outer(m, k2)
+        m = m.ravel()
+        count = np.bincount(m)
+        occupied = np.flatnonzero(count)
+        return cls(grid=grid, m=m, occupied=occupied, count=count[occupied])
+
+    @property
+    def r2(self):
+        """|x|^2 of each occupied shell."""
+        return self.grid.h**2 * self.occupied
+
+    def sum(self, values):
+        """Samples of a field on this grid summed over each occupied shell."""
+        return np.bincount(self.m, weights=np.ravel(values))[self.occupied]
+
+
+def _xi_power(s, a, cutoffs):
+    """g = xi(s)^a with g' and g'' in closed form (a = 2p' > 2)."""
+    xi, xi_d, xi_dd = cutoffs.xi(s), cutoffs.xi_d(s), cutoffs.xi_dd(s)
+    g = xi**a
+    g_d = a * xi ** (a - 1.0) * xi_d
+    g_dd = a * xi ** (a - 2.0) * ((a - 1.0) * xi_d * xi_d + xi * xi_dd)
+    return g, g_d, g_dd
+
+
+@dataclass(frozen=True, eq=False)
+class RadialFactor:
+    """mu(x) = xi(|x|^2/scale)^{2p'} and its exact Laplacian, per shell."""
+
+    shells: Shells
+    values: np.ndarray
+    laplacian: np.ndarray
+
+    @classmethod
+    def build(cls, scale, params, cutoffs, shells):
+        s = shells.r2 / scale
+        g, g_d, g_dd = _xi_power(s, 2.0 * _pp(params), cutoffs)
+        lap = (4.0 * s * g_dd + 2.0 * shells.grid.N * g_d) / scale
+        return cls(shells=shells, values=g, laplacian=lap)
+
+    def _sum(self, weights, values):
+        return self.shells.grid.cell_volume * float(np.dot(weights, values))
+
+    def integral(self):
+        """int mu dx."""
+        return self._sum(self.shells.count, self.values)
+
+    def against(self, w_shells):
+        """int w mu dx, given w summed over each shell (``Shells.sum``)."""
+        return self._sum(w_shells, self.values)
+
+    def dissipation(self, params):
+        """int mu^{-1/(p-1)} |Lap mu|^{p'} dx, the quotient zeroed off-support."""
+        p = float(params.p)
+        pp = _pp(params)
+        mu = self.values
+        quot = np.zeros_like(mu)
+        mask = mu > _MU_FLOOR
+        quot[mask] = mu[mask] ** (-1.0 / (p - 1.0)) * np.abs(self.laplacian[mask]) ** pp
+        if not np.all(np.isfinite(quot)):
+            raise FloatingPointError("non-finite dissipation quotient")
+        return self._sum(self.shells.count, quot)
+
+
 @dataclass(frozen=True)
 class PhiFactors:
     """Factored space-time test function: phi(t, x) = time_profile(t) * mu(x)."""
 
     T: float
     time_profile: object
-    mu: Field
-    mu_integral: float
+    mu: RadialFactor
 
 
-def build_phi(T, params, cutoffs, grid):
-    """Sample the rescaled test-function factors for horizon T.
+def build_phi(T, params, cutoffs, shells):
+    """Evaluate the rescaled test-function factors for horizon T.
 
     The spatial factor xi(|x|^2/T)^{2p'} is supported in |x| <= sqrt(2T), so
     the box must satisfy L^2 >= 2T.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if 2.0 * T > grid.L**2 * (1.0 + 1e-12):
-        raise ValueError(
-            f"box too small for T = {T}: need L^2 >= 2T, have L^2 = {grid.L**2}"
-        )
+    L = shells.grid.L
+    if 2.0 * T > L**2 * (1.0 + 1e-12):
+        raise ValueError(f"box too small for T = {T}: need L^2 >= 2T, have L^2 = {L**2}")
     pp = _pp(params)
-    mu = Field(grid, cutoffs.xi(grid.r2 / T) ** (2.0 * pp))
 
     def time_profile(t):
         return cutoffs.eta(np.asarray(t) / T) ** pp
 
-    return PhiFactors(T=float(T), time_profile=time_profile, mu=mu,
-                      mu_integral=integral(mu))
+    return PhiFactors(T=float(T), time_profile=time_profile,
+                      mu=RadialFactor.build(T, params, cutoffs, shells))
 
 
-def build_mu_fixed(R, params, cutoffs, grid):
+def build_mu_fixed(R, params, cutoffs, shells):
     """Spatial factor xi(|x|^2/R^2)^{2p'} at a T-independent scale R."""
     if R <= 0:
         raise ValueError("R must be positive")
-    if 2.0 * R**2 > grid.L**2 * (1.0 + 1e-12):
+    L = shells.grid.L
+    if 2.0 * R**2 > L**2 * (1.0 + 1e-12):
         raise ValueError(
-            f"box too small for R = {R}: need L^2 >= 2R^2, have L^2 = {grid.L**2}"
+            f"box too small for R = {R}: need L^2 >= 2R^2, have L^2 = {L**2}"
         )
-    pp = _pp(params)
-    return Field(grid, cutoffs.xi(grid.r2 / R**2) ** (2.0 * pp))
-
-
-def forcing_space_factor(w, mu):
-    return float(mu.grid.cell_volume * np.sum(w.profile.values * mu.values))
-
-
-def forcing_functional(w, T, params, cutoffs):
-    """int_0^T int t^sigma w(x) phi_T dx dt, in factored form."""
-    phi = build_phi(T, params, cutoffs, w.profile.grid)
-    sigma = float(params.sigma)
-    return T ** (sigma + 1.0) * time_factor_forcing(params, cutoffs) * \
-        forcing_space_factor(w, phi.mu)
-
-
-def _dissipation_space_integral(mu, params, prop=None):
-    """int mu^{-1/(p-1)} |Lap mu|^{p'} dx with the quotient zeroed off-support.
-
-    The exponent structure keeps the true quotient bounded; the floor guards
-    against spectral-differentiation roundoff masquerading as signal where mu
-    underflows.
-    """
-    p = float(params.p)
-    pp = _pp(params)
-    prop = prop or Propagator(mu.grid)
-    lap = prop.laplacian_values(mu.values)
-    vals = mu.values
-    quot = np.zeros_like(vals)
-    mask = vals > _MU_FLOOR
-    quot[mask] = vals[mask] ** (-1.0 / (p - 1.0)) * np.abs(lap[mask]) ** pp
-    if not np.all(np.isfinite(quot)):
-        raise FloatingPointError("non-finite dissipation quotient")
-    return float(mu.grid.cell_volume * np.sum(quot))
-
-
-def dissipation_functionals(T, params, cutoffs, grid):
-    """The two test-function dissipation integrals I1(T), I2(T)."""
-    phi = build_phi(T, params, cutoffs, grid)
-    pp = _pp(params)
-    c_plain = time_factor_plain(params, cutoffs)
-    if c_plain <= 0.0:
-        raise ValueError("degenerate cutoff: eta integrates to zero")
-    i1 = (T * c_plain) * _dissipation_space_integral(phi.mu, params)
-    i2 = (T ** (1.0 - pp) * time_factor_dissipation(params, cutoffs)) * phi.mu_integral
-    return i1, i2
+    return RadialFactor.build(R**2, params, cutoffs, shells)
 
 
 def young_constant(params):
@@ -327,15 +400,13 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
         raise ValueError("degenerate cutoff: eta integrates to zero")
     c_diss = time_factor_dissipation(params, cutoffs)
     cy = young_constant(params)
-    prop = Propagator(grid)
+    shells = Shells.of(grid)
+    w_shells = shells.sum(w.profile.values)
 
     mode = "fixed-space" if sigma > 0 else "rescaled-space"
     if mode == "fixed-space":
         R = grid.L / 2.0 if R is None else float(R)
-        mu = build_mu_fixed(R, params, cutoffs, grid)
-        space_quot = _dissipation_space_integral(mu, params, prop)
-        mu_int = integral(mu)
-        space_forcing = forcing_space_factor(w, mu)
+        mu = build_mu_fixed(R, params, cutoffs, shells)
     else:
         R = None
 
@@ -345,14 +416,12 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
     space_factors = np.empty_like(T_ladder)
     for idx, T in enumerate(T_ladder):
         if mode == "rescaled-space":
-            phi = build_phi(T, params, cutoffs, grid)
-            space_quot = _dissipation_space_integral(phi.mu, params, prop)
-            mu_int = phi.mu_integral
-            space_forcing = forcing_space_factor(w, phi.mu)
+            mu = build_phi(T, params, cutoffs, shells).mu
+        space_forcing = mu.against(w_shells)
         time_forcing = T ** (sigma + 1.0) * c_forcing
         forcing[idx] = time_forcing * space_forcing
-        i1[idx] = (T * c_plain) * space_quot
-        i2[idx] = (T ** (1.0 - pp) * c_diss) * mu_int
+        i1[idx] = (T * c_plain) * mu.dissipation(params)
+        i2[idx] = (T ** (1.0 - pp) * c_diss) * mu.integral()
         space_factors[idx] = space_forcing
 
     time_int = T_ladder ** (sigma + 1.0) * c_forcing

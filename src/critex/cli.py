@@ -261,8 +261,11 @@ def cmd_certificate(ns):
         ladder = config_mod.get_floats(sec, "T_ladder_time")
         R = config_mod.get_float(sec, "R_length") if "R_length" in sec else None
         label = config_mod.get_str(sec, "cutoffs", default="default")
-        cutoffs = {"default": cert_mod.default_cutoffs,
-                   "steep": cert_mod.steep_cutoffs}[label]()
+        makers = {"default": cert_mod.default_cutoffs, "steep": cert_mod.steep_cutoffs}
+        if label not in makers:
+            raise config_mod.ConfigError(
+                f"unknown cutoffs {label!r}; valid: {', '.join(makers)}")
+        cutoffs = makers[label]()
     except (config_mod.ConfigError, OSError, ValueError, KeyError) as exc:
         _print_err(str(exc))
         return 2

@@ -218,7 +218,7 @@ def write_snapshot(f, path):
     header = f"{SNAPSHOT_MAGIC} N={g.N} L={g.L:.17g} n={g.n}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(f.values.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def read_snapshot(path):
@@ -244,5 +244,5 @@ def field_fingerprint(f):
     g = f.grid
     hsh = hashlib.sha256()
     hsh.update(f"{SNAPSHOT_MAGIC} N={g.N} L={g.L:.17g} n={g.n}\n".encode("ascii"))
-    hsh.update(f.values.astype("<f8").tobytes(order="C"))
+    hsh.update(np.ascontiguousarray(f.values, dtype="<f8"))
     return hsh.hexdigest()

@@ -177,6 +177,27 @@ def forcing_field_quad(prop, w_values, t, sigma):
     return np.fft.irfftn(spec, s=w_values.shape, axes=tuple(range(w_values.ndim)))
 
 
+def certificate_space_factors_on_grid(w_values, grid, scale, pp, xi, mu_floor):
+    """Space factors of the certificate by full-grid sampling.
+
+    mu = xi(|x|^2/scale)^{2p'} is sampled at every grid point, its
+    Laplacian is taken spectrally (``Propagator.laplacian_values``) and the
+    three integrals are rectangle-rule sums over the grid: int mu,
+    int w mu and int mu^{-1/(p-1)} |Lap mu|^{p'} (zero where mu <= mu_floor).
+    """
+    from critex.semigroup import Propagator
+
+    p = pp / (pp - 1.0)
+    mu = xi(grid.r2 / scale) ** (2.0 * pp)
+    lap = Propagator(grid).laplacian_values(mu)
+    quot = np.zeros_like(mu)
+    mask = mu > mu_floor
+    quot[mask] = mu[mask] ** (-1.0 / (p - 1.0)) * np.abs(lap[mask]) ** pp
+    dv = grid.cell_volume
+    return (dv * float(np.sum(mu)), dv * float(np.sum(w_values * mu)),
+            dv * float(np.sum(quot)))
+
+
 # Frozen reference values (computed with the oracles above at build time and
 # cross-checked against an independent linearization; see the tests that
 # assert agreement).

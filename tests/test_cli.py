@@ -251,6 +251,15 @@ def test_explicit_zero_rejected(tmp_path, command, base, line, message):
     assert message in res.stderr
 
 
+def test_certificate_unknown_cutoffs_rejected(tmp_path):
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(CERT_CFG + "cutoffs = foo\n")
+    res = run_cli(["certificate", str(cfg)])
+    assert res.returncode == 2, res.stdout
+    assert "'foo'" in res.stderr
+    assert "default" in res.stderr and "steep" in res.stderr
+
+
 def test_seed_profile_override(tmp_path):
     import numpy as np
     from critex.field import Field, Grid, write_snapshot

@@ -162,3 +162,18 @@ def test_snapshot_roundtrip(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("N, n", [(1, 16), (2, 16), (3, 8)])
+def test_snapshot_and_fingerprint_bytes(tmp_path, rng, N, n):
+    # the payload is the row-major little-endian float64 samples, no more
+    import hashlib
+
+    g = Grid(N, 3.0, n)
+    f = Field(g, rng.standard_normal(g.shape))
+    header = f"CRITEX-FIELD v1 N={N} L=3 n={n}\n".encode("ascii")
+    payload = f.values.astype("<f8").tobytes(order="C")
+    path = tmp_path / "f.field"
+    write_snapshot(f, path)
+    assert path.read_bytes() == header + payload
+    assert field_fingerprint(f) == hashlib.sha256(header + payload).hexdigest()
