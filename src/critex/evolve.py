@@ -7,6 +7,14 @@ the singular-in-time forcing enters through its exact antiderivative.  Step
 size is controlled by step doubling, and blow-up is declared either when the
 sup norm crosses the configured threshold or when the step collapses while
 the sup norm keeps growing.
+
+The state between steps is the half-spectrum of v.  A step-doubling trial
+of length h from that spectrum, with m(s) = exp(-s|xi|^2), forms the full
+step m(h/2) F R_h I m(h/2) and the two half steps, whose inner quarter-step
+diffusions merge into one m(h/2): m(h/4) F R_{h/2} I m(h/2) F R_{h/2} I
+m(h/4).  With the two inverse transforms the error test needs, a trial
+costs 8 real FFTs, and an accepted fine spectrum is the next step's start,
+so no accepted field is transformed forward again.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .exponents import Params, derive
-from .field import Field, ForcingSpec, boundary_shell_fraction
+from .field import Field, ForcingSpec, boundary_shell_fraction, lr_norm, norm_of_abs
 from .semigroup import Propagator
 
 _GROW_CAP = 4.0
@@ -31,7 +39,7 @@ _BOUNDARY_FLAG_LEVEL = 1e-6
 
 
 class StepOverflow(RuntimeError):
-    """Raised when a trial step produces non-finite values."""
+    """Raised when a reaction substep produces non-finite values."""
 
 
 class Verdict(enum.Enum):
@@ -82,7 +90,11 @@ class SolveConfig:
 
 
 class Stepper:
-    """Strang-split stepper bound to one grid and parameter set."""
+    """Strang-split stepper bound to one grid and parameter set.
+
+    It works on half-spectra (`Propagator.to_spectrum`), so that the
+    diffusion substeps are multipliers and consecutive ones merge.
+    """
 
     def __init__(self, grid, params, w_values=None, nonlinear=True):
         self.grid = grid
@@ -99,13 +111,27 @@ class Stepper:
             return kernels.reaction_rk4_tau(flat, self.w, dt, self.p, self.sigma, self.nl)
         return kernels.reaction_rk4_forced(flat, self.w, t0, dt, self.p, self.sigma, self.nl)
 
-    def step_values(self, values, t0, dt):
-        half = self.prop.apply_values(values, 0.5 * dt)
-        react = self._react(np.ascontiguousarray(half).ravel(), t0, dt)
-        out = self.prop.apply_values(react.reshape(self.grid.shape), 0.5 * dt)
-        if not np.all(np.isfinite(out)):
+    def step_values(self, spec, t0, dt, pre, post):
+        """post * F(R(I(pre * spec))) with R the reaction over [t0, t0 + dt].
+
+        pre and post are diffusion multipliers; pre None is the identity.
+        Raises StepOverflow when the reaction output is not finite.
+        """
+        values = self.prop.from_spectrum(spec if pre is None else spec * pre)
+        react = self._react(values.ravel(), t0, dt)
+        if not np.all(np.isfinite(react)):
             raise StepOverflow(f"non-finite values at t = {t0}")
+        out = self.prop.to_spectrum(react.reshape(self.grid.shape))
+        out *= post
         return out
+
+    def trial(self, spec, t0, dt):
+        """One step-doubling trial from spec: (full, fine, spectrum of fine)."""
+        half, quarter = self.prop.multiplier(0.5 * dt), self.prop.multiplier(0.25 * dt)
+        full = self.step_values(spec, t0, dt, half, half)
+        mid = self.step_values(spec, t0, 0.5 * dt, quarter, half)
+        fine = self.step_values(mid, t0 + 0.5 * dt, 0.5 * dt, None, quarter)
+        return self.prop.from_spectrum(full), self.prop.from_spectrum(fine), fine
 
 
 def step(u, t, dt, params, w=None, nonlinear=True):
@@ -116,15 +142,23 @@ def step(u, t, dt, params, w=None, nonlinear=True):
     if w is not None and w.profile.grid != u.grid:
         raise ValueError("forcing grid does not match field grid")
     stepper = Stepper(u.grid, params, wv, nonlinear)
-    return Field(u.grid, stepper.step_values(u.values, float(t), float(dt)))
+    half = stepper.prop.multiplier(0.5 * float(dt))
+    spec = stepper.step_values(stepper.prop.to_spectrum(u.values), float(t), float(dt),
+                               half, half)
+    return Field(u.grid, stepper.prop.from_spectrum(spec))
 
 
 @dataclass
 class EndState:
-    """Where a run that reached its horizon stopped: enough to continue it."""
+    """Where a run that reached its horizon stopped: enough to continue it.
+
+    spec is the half-spectrum of v that the next step starts from; it is
+    carried because transforming v again would not return it bitwise.
+    """
 
     t: float
     v: Field
+    spec: np.ndarray
     dt: float
     hist: deque
     accepted: int
@@ -174,10 +208,6 @@ class Trajectory:
                 f"{self.ld[i]:.17g},{self.weighted[i]:.17g}\n"
             )
         return out.getvalue()
-
-
-def _norm_q(values, q, vol):
-    return (vol * float(np.sum(np.abs(values) ** q))) ** (1.0 / q)
 
 
 def recording_norms(params):
@@ -254,20 +284,19 @@ def run(start, w, cfg):
 
     def record(t, values):
         nonlocal boundary_max
-        linf = float(np.max(np.abs(values)))
-        lqv = _norm_q(values, q, vol)
-        ldv = _norm_q(values, d, vol) if d >= 1.0 else math.nan
+        absu = np.abs(values)
+        linf = norm_of_abs(absu, math.inf, vol)
+        lqv = norm_of_abs(absu, q, vol)
+        ldv = norm_of_abs(absu, d, vol) if d >= 1.0 else math.nan
         mean = float(np.sum(values)) * mean_weight
-        fl = _norm_q(values - mean, q, vol)
+        fl = norm_of_abs(np.abs(values - mean), q, vol)
         times.append(t)
         linf_s.append(linf)
         lq_s.append(lqv)
         ld_s.append(ldv)
         weighted_s.append(t**beta * lqv if t > 0 else (lqv if beta == 0.0 else 0.0))
         fluct_s.append(t**beta * fl if t > 0 else (fl if beta == 0.0 else 0.0))
-        absu = np.abs(values)
-        total = float(np.sum(absu))
-        if total > 0.0:
+        if float(np.sum(absu)) > 0.0:
             frac = boundary_shell_fraction(Field(grid, values), 0.125)
             boundary_max = max(boundary_max, frac)
         return linf
@@ -275,6 +304,7 @@ def run(start, w, cfg):
     dt_max = cfg.effective_dt_max
     if end is None:
         v = np.array(start.values, dtype=np.float64)
+        spec = stepper.prop.to_spectrum(v)
         record(0.0, v)
         if cfg.snapshot_every > 0 or 0.0 in record_set:
             snapshots.append((0.0, start))
@@ -284,6 +314,7 @@ def run(start, w, cfg):
         accepted = 0
     else:
         v = end.v.values
+        spec = end.spec
         dt = end.dt
         hist = deque(end.hist, maxlen=end.hist.maxlen)
         accepted = end.accepted
@@ -302,13 +333,13 @@ def run(start, w, cfg):
         else:
             dt_try = min(dt, dt_max, gap)
             try:
-                full = stepper.step_values(v, t, dt_try)
-                mid = stepper.step_values(v, t, 0.5 * dt_try)
-                fine = stepper.step_values(mid, t + 0.5 * dt_try, 0.5 * dt_try)
+                full, fine, fine_spec = stepper.trial(spec, t, dt_try)
                 err = float(np.max(np.abs(full - fine))) / (
                     1.0 + float(np.max(np.abs(fine)))
                 )
             except StepOverflow:
+                err = math.inf
+            if math.isnan(err):  # a transform overflowed after a finite reaction
                 err = math.inf
             if err > cfg.tol_step:
                 if err == math.inf:
@@ -320,7 +351,7 @@ def run(start, w, cfg):
                 if dt < cfg.dt_min:
                     verdict, t_star = growth_verdict()
                 continue
-            v = fine
+            v, spec = fine, fine_spec
             t = t + dt_try
             accepted += 1
             linf = record(t, v)
@@ -362,7 +393,7 @@ def run(start, w, cfg):
         verdict=verdict,
         t_star=t_star,
         boundary_frac_max=boundary_max,
-        end=(EndState(t, Field(grid, v), dt, hist, accepted, w)
+        end=(EndState(t, Field(grid, v), spec, dt, hist, accepted, w)
              if verdict is Verdict.REACHED_HORIZON else None),
     )
 
@@ -382,8 +413,6 @@ def weighted_norm_series(traj, beta, q):
                 f"q = {q} was not recorded and no snapshots are available"
             )
         times = np.array([ts for ts, _ in traj.snapshots])
-        base = np.array(
-            [_norm_q(f.values, q, f.grid.cell_volume) for _, f in traj.snapshots]
-        )
+        base = np.array([lr_norm(f, q) for _, f in traj.snapshots])
     weighted = np.where(times > 0, times**beta * base, base if beta == 0.0 else 0.0)
     return times, weighted, np.maximum.accumulate(weighted)

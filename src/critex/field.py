@@ -71,6 +71,27 @@ class Grid:
             total = total + ax2.reshape(shp)
         return total
 
+    @cached_property
+    def _face_masks(self):
+        return {}
+
+    def face_mask(self, depth):
+        """Read-only mask of the points within depth*L of a box face.
+
+        Built once per grid and depth.
+        """
+        mask = self._face_masks.get(depth)
+        if mask is None:
+            near = np.abs(self.axis()) >= (1.0 - depth) * self.L
+            mask = np.zeros(self.shape, dtype=bool)
+            for a in range(self.N):
+                shp = [1] * self.N
+                shp[a] = self.n
+                mask |= near.reshape(shp)
+            mask.flags.writeable = False
+            self._face_masks[depth] = mask
+        return mask
+
 
 class Field:
     """Immutable real-valued samples on a Grid."""
@@ -111,12 +132,16 @@ def lr_norm(f, r):
     """Lebesgue r-norm by grid quadrature; r = inf gives max |values|."""
     if r != math.inf and r < 1:
         raise ValueError(f"r must be >= 1 (or inf), got {r}")
-    if r == math.inf:
-        return float(np.max(np.abs(f.values))) if f.values.size else 0.0
-    r = float(r)
     with np.errstate(over="ignore"):  # inf is the honest answer for huge fields
-        total = float(np.sum(np.abs(f.values) ** r))
-    return (f.grid.cell_volume * total) ** (1.0 / r)
+        return norm_of_abs(np.abs(f.values), r, f.grid.cell_volume)
+
+
+def norm_of_abs(absu, r, cell_volume):
+    """lr_norm from precomputed |values|, for callers taking several norms."""
+    if r == math.inf:
+        return float(np.max(absu)) if absu.size else 0.0
+    r = float(r)
+    return (cell_volume * float(np.sum(absu**r))) ** (1.0 / r)
 
 
 def boundary_shell_fraction(f, depth=0.125):
@@ -125,19 +150,11 @@ def boundary_shell_fraction(f, depth=0.125):
     Returns 0 for the zero field.  Large values mean the periodic
     truncation is no longer a faithful stand-in for free space.
     """
-    g = f.grid
-    cut = (1.0 - depth) * g.L
-    near = np.abs(g.axis()) >= cut
-    mask = np.zeros(g.shape, dtype=bool)
-    for a in range(g.N):
-        shp = [1] * g.N
-        shp[a] = g.n
-        mask |= near.reshape(shp)
     absu = np.abs(f.values)
     total = float(np.sum(absu))
     if total == 0.0:
         return 0.0
-    return float(np.sum(absu[mask])) / total
+    return float(np.sum(absu[f.grid.face_mask(depth)])) / total
 
 
 @dataclass(frozen=True)
@@ -183,17 +200,19 @@ def make_bump(grid, kind, center=None, scale=1.0, amplitude=1.0):
         raise ValueError(f"center must have {grid.N} coordinates")
 
     ax = grid.axis()
-    r2 = np.zeros(grid.shape)
-    for a in range(grid.N):
-        shp = [1] * grid.N
-        shp[a] = grid.n
-        r2 = r2 + ((ax - center[a]) ** 2).reshape(shp)
-
     if kind == "gaussian":
         radius = 4.0 * math.sqrt(scale)
-        vals = amplitude * np.exp(-r2 / (4.0 * scale))
+        # the Gaussian factors over the axes: N 1-D exponentials, outer product
+        vals = amplitude * np.exp(-((ax - center[0]) ** 2) / (4.0 * scale))
+        for c in center[1:]:
+            vals = np.multiply.outer(vals, np.exp(-((ax - c) ** 2) / (4.0 * scale)))
     elif kind == "compact_bump":
         radius = scale
+        r2 = np.zeros(grid.shape)
+        for a in range(grid.N):
+            shp = [1] * grid.N
+            shp[a] = grid.n
+            r2 = r2 + ((ax - center[a]) ** 2).reshape(shp)
         s = r2 / (scale * scale)
         vals = np.zeros(grid.shape)
         inside = s < 1.0

@@ -1,9 +1,4 @@
-"""Hot numeric kernels: numba-jitted fast paths with pure-numpy fallbacks.
-
-The backend is chosen once at import time.  Set ``CRITEX_NUMBA=0`` in the
-environment to force the numpy implementations (the benchmark uses both
-directly).  The numba loops mirror the numpy expressions operation for
-operation, so the two paths agree bitwise on the pointwise kernels.
+"""Hot numeric kernels, in numpy.
 
 Kernels here are the runtime hot spots:
 
@@ -16,27 +11,10 @@ Kernels here are the runtime hot spots:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested():
-    flag = os.environ.get("CRITEX_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-try:
-    if _numba_requested():
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    else:
-        njit = None
-        NUMBA_ENABLED = False
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    NUMBA_ENABLED = False
+# numpy is the only backend; the name stays for run records that report it.
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +27,48 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 # ---------------------------------------------------------------------------
 
 
-def reaction_rk4_plain_numpy(v, dt, p, nl=1.0):
-    k1 = nl * np.abs(v) ** p
-    v2 = v + (0.5 * dt) * k1
-    k2 = nl * np.abs(v2) ** p
-    v3 = v + (0.5 * dt) * k2
-    k3 = nl * np.abs(v3) ** p
-    v4 = v + dt * k3
-    k4 = nl * np.abs(v4) ** p
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rate(x, p, coef, force):
+    """coef * |x|^p + force in a new array; None drops a term."""
+    if coef is None:
+        return force.copy()
+    k = np.abs(x)
+    k **= p
+    k *= coef
+    if force is not None:
+        k += force
+    return k
+
+
+def _rk4(v, h, p, stages):
+    """v + (h/6)(k1 + 2 k2 + 2 k3 + k4) for k_i = coef_i * |x_i|^p + force_i.
+
+    stages holds the four (coef, force) pairs.  The stage points are
+    x1 = v, x2 = v + (h/2) k1, x3 = v + (h/2) k2 and x4 = v + h k3.  Work
+    arrays are reused, but every element sees the operations of the array
+    expression in the same order, so the result is the same bits.
+    """
+    (c1, f1), (c2, f2), (c3, f3), (c4, f4) = stages
+    acc = _rate(v, p, c1, f1)
+    x = np.multiply(0.5 * h, acc)
+    x += v
+    k = _rate(x, p, c2, f2)
+    np.multiply(0.5 * h, k, out=x)
+    x += v
+    k *= 2.0
+    acc += k
+    k = _rate(x, p, c3, f3)
+    np.multiply(h, k, out=x)
+    x += v
+    k *= 2.0
+    acc += k
+    acc += _rate(x, p, c4, f4)
+    acc *= h / 6.0
+    acc += v
+    return acc
+
+
+def reaction_rk4_plain(v, dt, p, nl=1.0):
+    return _rk4(v, dt, p, [(nl, None)] * 4)
 
 
 def _forcing_weight(s, sigma):
@@ -66,105 +77,21 @@ def _forcing_weight(s, sigma):
     return 1.0 if sigma == 0.0 else 0.0  # sigma > 0 at s = 0
 
 
-def reaction_rk4_forced_numpy(v, c, t0, dt, p, sigma, nl=1.0):
+def reaction_rk4_forced(v, c, t0, dt, p, sigma, nl=1.0):
     f1 = _forcing_weight(t0, sigma)
-    f2 = _forcing_weight(t0 + 0.5 * dt, sigma)
+    f2c = _forcing_weight(t0 + 0.5 * dt, sigma) * c
     f4 = _forcing_weight(t0 + dt, sigma)
-    k1 = nl * np.abs(v) ** p + f1 * c
-    v2 = v + (0.5 * dt) * k1
-    k2 = nl * np.abs(v2) ** p + f2 * c
-    v3 = v + (0.5 * dt) * k2
-    k3 = nl * np.abs(v3) ** p + f2 * c
-    v4 = v + dt * k3
-    k4 = nl * np.abs(v4) ** p + f4 * c
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _rk4(v, dt, p, [(nl, f1 * c), (nl, f2c), (nl, f2c), (nl, f4 * c)])
 
 
-def reaction_rk4_tau_numpy(v, c, dt, p, sigma, nl=1.0):
+def reaction_rk4_tau(v, c, dt, p, sigma, nl=1.0):
     a = 1.0 / (sigma + 1.0)
     tau = dt ** (sigma + 1.0)
-    g2 = a * (0.5 * tau) ** (a - 1.0)
-    g4 = a * tau ** (a - 1.0)
+    g2 = nl * (a * (0.5 * tau) ** (a - 1.0))
+    g4 = nl * (a * tau ** (a - 1.0))
     ac = a * c
-    k1 = ac  # tau = 0: the nonlinear coefficient vanishes (a > 1)
-    v2 = v + (0.5 * tau) * k1
-    k2 = nl * g2 * np.abs(v2) ** p + ac
-    v3 = v + (0.5 * tau) * k2
-    k3 = nl * g2 * np.abs(v3) ** p + ac
-    v4 = v + tau * k3
-    k4 = nl * g4 * np.abs(v4) ** p + ac
-    return v + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _reaction_rk4_plain_nb(v, dt, p, nl):
-        out = np.empty_like(v)
-        for i in range(v.size):
-            x = v[i]
-            k1 = nl * abs(x) ** p
-            x2 = x + (0.5 * dt) * k1
-            k2 = nl * abs(x2) ** p
-            x3 = x + (0.5 * dt) * k2
-            k3 = nl * abs(x3) ** p
-            x4 = x + dt * k3
-            k4 = nl * abs(x4) ** p
-            out[i] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return out
-
-    @njit(cache=True)
-    def _reaction_rk4_forced_nb(v, c, f1, f2, f4, dt, p, nl):
-        out = np.empty_like(v)
-        for i in range(v.size):
-            x = v[i]
-            ci = c[i]
-            k1 = nl * abs(x) ** p + f1 * ci
-            x2 = x + (0.5 * dt) * k1
-            k2 = nl * abs(x2) ** p + f2 * ci
-            x3 = x + (0.5 * dt) * k2
-            k3 = nl * abs(x3) ** p + f2 * ci
-            x4 = x + dt * k3
-            k4 = nl * abs(x4) ** p + f4 * ci
-            out[i] = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return out
-
-    @njit(cache=True)
-    def _reaction_rk4_tau_nb(v, c, tau, g2, g4, a, p, nl):
-        out = np.empty_like(v)
-        for i in range(v.size):
-            x = v[i]
-            ac = a * c[i]
-            k1 = ac
-            x2 = x + (0.5 * tau) * k1
-            k2 = nl * g2 * abs(x2) ** p + ac
-            x3 = x + (0.5 * tau) * k2
-            k3 = nl * g2 * abs(x3) ** p + ac
-            x4 = x + tau * k3
-            k4 = nl * g4 * abs(x4) ** p + ac
-            out[i] = x + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return out
-
-    def reaction_rk4_plain(v, dt, p, nl=1.0):
-        return _reaction_rk4_plain_nb(v, float(dt), float(p), float(nl))
-
-    def reaction_rk4_forced(v, c, t0, dt, p, sigma, nl=1.0):
-        f1 = _forcing_weight(t0, sigma)
-        f2 = _forcing_weight(t0 + 0.5 * dt, sigma)
-        f4 = _forcing_weight(t0 + dt, sigma)
-        return _reaction_rk4_forced_nb(v, c, f1, f2, f4, float(dt), float(p), float(nl))
-
-    def reaction_rk4_tau(v, c, dt, p, sigma, nl=1.0):
-        a = 1.0 / (sigma + 1.0)
-        tau = dt ** (sigma + 1.0)
-        g2 = a * (0.5 * tau) ** (a - 1.0)
-        g4 = a * tau ** (a - 1.0)
-        return _reaction_rk4_tau_nb(v, c, tau, g2, g4, a, float(p), float(nl))
-
-else:
-    reaction_rk4_plain = reaction_rk4_plain_numpy
-    reaction_rk4_forced = reaction_rk4_forced_numpy
-    reaction_rk4_tau = reaction_rk4_tau_numpy
+    # tau = 0: the nonlinear coefficient of k1 vanishes (a > 1)
+    return _rk4(v, tau, p, [(None, ac), (g2, ac), (g2, ac), (g4, ac)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +100,20 @@ else:
 # out[i] = volume * sum_j (prod_a kern_a[(i_a - j_a) mod n]) * f[j]
 #
 # This is the FFT-free oracle; cost is O((n^N)^2), so it is meant for small
-# grids only.  The numpy fallback materializes the full circulant matrix and
-# refuses grids where that would be unreasonable.
+# grids only.  It materializes the full circulant matrix and refuses grids
+# where that would be unreasonable.
 # ---------------------------------------------------------------------------
 
-_NUMPY_DIRECT_LIMIT = 8192  # max n^N for the dense-matrix fallback
+_DIRECT_LIMIT = 8192  # max n^N for the dense circulant matrix
 
 
-def convolve_periodic_numpy(values, kernel_axes, volume):
+def convolve_periodic(values, kernel_axes, volume):
     n = values.shape[0]
     ndim = values.ndim
-    if values.size > _NUMPY_DIRECT_LIMIT:
+    if values.size > _DIRECT_LIMIT:
         raise ValueError(
             f"grid with {values.size} points is too large for the dense "
-            f"numpy convolution fallback (limit {_NUMPY_DIRECT_LIMIT})"
+            f"direct convolution (limit {_DIRECT_LIMIT})"
         )
     diff = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     mat = kernel_axes[0][diff]
@@ -195,60 +122,5 @@ def convolve_periodic_numpy(values, kernel_axes, volume):
     return volume * (mat @ values.ravel()).reshape(values.shape)
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _conv1_nb(f, k0, volume):
-        n = f.shape[0]
-        out = np.zeros_like(f)
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc += k0[(i - j) % n] * f[j]
-            out[i] = volume * acc
-        return out
-
-    @njit(cache=True)
-    def _conv2_nb(f, k0, k1, volume):
-        n = f.shape[0]
-        out = np.zeros_like(f)
-        for i0 in range(n):
-            for i1 in range(n):
-                acc = 0.0
-                for j0 in range(n):
-                    w0 = k0[(i0 - j0) % n]
-                    for j1 in range(n):
-                        acc += w0 * k1[(i1 - j1) % n] * f[j0, j1]
-                out[i0, i1] = volume * acc
-        return out
-
-    @njit(cache=True)
-    def _conv3_nb(f, k0, k1, k2, volume):
-        n = f.shape[0]
-        out = np.zeros_like(f)
-        for i0 in range(n):
-            for i1 in range(n):
-                for i2 in range(n):
-                    acc = 0.0
-                    for j0 in range(n):
-                        w0 = k0[(i0 - j0) % n]
-                        for j1 in range(n):
-                            w01 = w0 * k1[(i1 - j1) % n]
-                            for j2 in range(n):
-                                acc += w01 * k2[(i2 - j2) % n] * f[j0, j1, j2]
-                    out[i0, i1, i2] = volume * acc
-        return out
-
-    def convolve_periodic(values, kernel_axes, volume):
-        if values.ndim == 1:
-            return _conv1_nb(values, kernel_axes[0], volume)
-        if values.ndim == 2:
-            return _conv2_nb(values, kernel_axes[0], kernel_axes[1], volume)
-        return _conv3_nb(values, kernel_axes[0], kernel_axes[1], kernel_axes[2], volume)
-
-else:
-    convolve_periodic = convolve_periodic_numpy
-
-
 def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"

@@ -159,27 +159,25 @@ class SolutionMap:
         self.w = w
         xi2 = self.prop.xi2
 
-        u0_hat = np.fft.rfftn(u0.values)
-        self.free = [Field(grid, self._to_grid(u0_hat * np.exp(-t * xi2))) for t in times]
+        u0_hat = self.prop.to_spectrum(u0.values)
+        self.free = [Field(grid, self.prop.from_spectrum(u0_hat * np.exp(-t * xi2)))
+                     for t in times]
         self.forcing = self._forcing_terms()
         # midpoint rule on the slice [0, t0]: t0 e^{(t0/2)D} |e^{(t0/2)D} u0|^p,
         # the spectrum the nonlinear sum starts from at the first rung
         t0 = times[0]
         half_damp = np.exp(-0.5 * t0 * xi2)
-        half_pow = np.abs(self._to_grid(u0_hat * half_damp)) ** self.p
-        self._slice_hat = t0 * half_damp * np.fft.rfftn(half_pow)
-
-    def _to_grid(self, spec):
-        return np.fft.irfftn(spec, s=self.grid.shape, axes=tuple(range(self.grid.N)))
+        half_pow = np.abs(self.prop.from_spectrum(u0_hat * half_damp)) ** self.p
+        self._slice_hat = t0 * half_damp * self.prop.to_spectrum(half_pow)
 
     def _forcing_terms(self):
         """int_0^t s^sigma e^{(t-s)D} w ds at every rung, exactly per mode."""
         if self.w is None:
             zero = np.zeros(self.grid.shape)
             return [zero for _ in self.times]
-        w_hat = np.fft.rfftn(self.w.profile.values)
+        w_hat = self.prop.to_spectrum(self.w.profile.values)
         return [
-            self._to_grid(w_hat * forcing_multiplier(t, self.prop.xi2, self.sigma))
+            self.prop.from_spectrum(w_hat * forcing_multiplier(t, self.prop.xi2, self.sigma))
             for t in self.times
         ]
 
@@ -202,7 +200,7 @@ class SolutionMap:
             if j:
                 acc *= np.exp(-(t - times[j - 1]) * xi2)
             with np.errstate(over="ignore"):  # divergence is detected by the caller
-                spec = np.fft.rfftn(np.abs(f.values) ** self.p)
+                spec = self.prop.to_spectrum(np.abs(f.values) ** self.p)
             acc += running[j] * spec
             recent = recent[-3:] + [spec]
             lo = j + 1 - len(recent)
@@ -211,7 +209,7 @@ class SolutionMap:
             for ti, c, sp in zip(times[lo : j + 1], ends, recent):
                 if c:
                     total += c * np.exp(-(t - ti) * xi2) * sp
-            out.append(self._to_grid(total))
+            out.append(self.prop.from_spectrum(total))
         return out
 
     def term_fields(self, u):
@@ -294,7 +292,7 @@ def sup_smoothing_ratio(prop, probes, times, r_src, r_dst):
     exponent = (grid.N / 2.0) * (
         1.0 / r_src - (0.0 if r_dst == math.inf else 1.0 / r_dst)
     )
-    xi2, axes = prop.xi2, tuple(range(grid.N))
+    xi2 = prop.xi2
     best = 0.0
     for probe in probes:
         if probe.grid != grid:
@@ -302,10 +300,10 @@ def sup_smoothing_ratio(prop, probes, times, r_src, r_dst):
         nsrc = lr_norm(probe, r_src)
         if nsrc == 0.0:
             continue
-        spec = np.fft.rfftn(probe.values)
+        spec = prop.to_spectrum(probe.values)
         for t in times:
             t = float(t)
-            heated = np.fft.irfftn(spec * np.exp(-t * xi2), s=grid.shape, axes=axes)
+            heated = prop.from_spectrum(spec * np.exp(-t * xi2))
             val = lr_norm(Field(grid, heated), r_dst)
             best = max(best, val * t**exponent / nsrc)
     return best

@@ -58,12 +58,20 @@ class Propagator:
             self._cache[key] = mult
         return mult
 
+    def to_spectrum(self, values):
+        """Real FFT of grid values onto the half-spectrum where xi2 lives."""
+        return np.fft.rfftn(values)
+
+    def from_spectrum(self, spec):
+        """Grid values of a half-spectrum (inverse of to_spectrum)."""
+        return np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
+
     def apply_values(self, values, t):
         if t == 0.0:
             return values
-        spec = np.fft.rfftn(values)
+        spec = self.to_spectrum(values)
         spec *= self.multiplier(t)
-        return np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
+        return self.from_spectrum(spec)
 
     def apply(self, f, t):
         """Evolve a field by time t >= 0; t = 0 is the identity."""
@@ -76,9 +84,9 @@ class Propagator:
         return Field(self.grid, self.apply_values(f.values, t))
 
     def laplacian_values(self, values):
-        spec = np.fft.rfftn(values)
+        spec = self.to_spectrum(values)
         spec *= -self._xi2
-        return np.fft.irfftn(spec, s=self.grid.shape, axes=self._axes)
+        return self.from_spectrum(spec)
 
 
 def spectral_laplacian(f):

@@ -125,6 +125,63 @@ def nonlinear_by_propagation(prop, times, p, u0_values, fields, j):
     return acc
 
 
+def strang_trial_by_propagation(stepper, values, t0, dt):
+    """One step-doubling trial of three physical Strang steps: (full, fine).
+
+    Each step diffuses by dt/2 through `Propagator.apply_values` (forward
+    and inverse transform), reacts with the stepper's reaction, and diffuses
+    by dt/2 again; the half steps are not merged and nothing stays in
+    Fourier space.  Non-finite output raises StepOverflow.
+    """
+    from critex.evolve import StepOverflow
+
+    def strang(v, t, h):
+        half = stepper.prop.apply_values(v, 0.5 * h)
+        react = stepper._react(np.ascontiguousarray(half).ravel(), t, h)
+        out = stepper.prop.apply_values(react.reshape(stepper.grid.shape), 0.5 * h)
+        if not np.all(np.isfinite(out)):
+            raise StepOverflow(f"non-finite values at t = {t}")
+        return out
+
+    full = strang(values, t0, dt)
+    mid = strang(values, t0, 0.5 * dt)
+    return full, strang(mid, t0 + 0.5 * dt, 0.5 * dt)
+
+
+def reaction_rk4_by_expression(kind, v, dt, p, c=None, t0=0.0, sigma=0.0, nl=1.0):
+    """One RK4 reaction step written as whole-array expressions.
+
+    kind is "plain" (v' = nl|v|^p), "forced" (plus s^sigma c) or "tau" (the
+    first step from s = 0 for sigma < 0, in tau = s^(sigma+1)).
+    """
+    def weight(s):
+        return s**sigma if s > 0.0 else (1.0 if sigma == 0.0 else 0.0)
+
+    if kind == "tau":
+        a = 1.0 / (sigma + 1.0)
+        h = dt ** (sigma + 1.0)
+        g2 = a * (0.5 * h) ** (a - 1.0)
+        g4 = a * h ** (a - 1.0)
+        ac = a * c
+        k1 = ac
+        k2 = nl * g2 * np.abs(v + (0.5 * h) * k1) ** p + ac
+        k3 = nl * g2 * np.abs(v + (0.5 * h) * k2) ** p + ac
+        k4 = nl * g4 * np.abs(v + h * k3) ** p + ac
+        return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if kind == "plain":
+        f1 = f2 = f4 = 0.0
+        c = 0.0
+        rate = lambda x, fc: nl * np.abs(x) ** p  # noqa: E731
+    else:
+        f1, f2, f4 = weight(t0), weight(t0 + 0.5 * dt), weight(t0 + dt)
+        rate = lambda x, fc: nl * np.abs(x) ** p + fc  # noqa: E731
+    k1 = rate(v, f1 * c)
+    k2 = rate(v + (0.5 * dt) * k1, f2 * c)
+    k3 = rate(v + (0.5 * dt) * k2, f2 * c)
+    k4 = rate(v + dt * k3, f4 * c)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def smoothing_ratio_by_propagation(prop, probes, times, r_src, r_dst):
     """sup over probes and times of the q -> r smoothing ratio, one heat
     application (forward and inverse transform) per probe and time."""

@@ -4,9 +4,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from critex.evolve import SolveConfig, Verdict, run, step, weighted_norm_series
+from critex.evolve import (
+    SolveConfig,
+    Stepper,
+    StepOverflow,
+    Verdict,
+    run,
+    step,
+    weighted_norm_series,
+)
 from critex.exponents import Params
-from critex.field import Field, ForcingSpec, Grid, lr_norm, make_bump
+from critex.field import (
+    Field,
+    ForcingSpec,
+    Grid,
+    boundary_shell_fraction,
+    lr_norm,
+    make_bump,
+)
 from critex.semigroup import Propagator
 
 from _oracles import (
@@ -14,6 +29,7 @@ from _oracles import (
     duhamel_forced_linear,
     ode_blowup_time,
     ode_value,
+    strang_trial_by_propagation,
 )
 
 HALF = Fraction(-1, 2)
@@ -221,6 +237,77 @@ def test_continuation_rejects_bad_input():
     assert stalled.verdict is Verdict.STALLED
     with pytest.raises(ValueError, match="Stalled"):
         run(stalled, w, SolveConfig(params=params, Tend=2.0))
+
+
+def _rough_data():
+    g = Grid(2, 4.0, 32)
+    u0 = make_bump(g, "compact_bump", center=(0.5, -0.25), scale=1.5, amplitude=1.0)
+    w = make_bump(g, "compact_bump", center=(-0.5, 0.0), scale=1.0, amplitude=0.5)
+    return g, u0, w
+
+
+@pytest.mark.parametrize("sigma, t0, forced, nonlinear", [
+    (HALF, 0.0, True, True),  # the tau-variable first step
+    (HALF, 0.3, True, True),
+    (Fraction(1, 2), 0.0, True, True),
+    (Fraction(1, 2), 0.3, True, True),
+    (HALF, 0.3, False, True),
+    (HALF, 0.0, True, False),
+    (HALF, 0.3, True, False),
+])
+def test_spectral_trial_matches_propagation_oracle(sigma, t0, forced, nonlinear):
+    g, u0, w = _rough_data()
+    stepper = Stepper(g, Params(2, 3, sigma), w.values if forced else None, nonlinear)
+    spec = stepper.prop.to_spectrum(u0.values)
+    for dt in (0.05, 0.2):
+        full, fine, fine_spec = stepper.trial(spec, t0, dt)
+        ref_full, ref_fine = strang_trial_by_propagation(stepper, u0.values, t0, dt)
+        scale = 1.0 + float(np.max(np.abs(ref_fine)))
+        assert np.max(np.abs(full - ref_full)) <= 1e-13 * scale
+        assert np.max(np.abs(fine - ref_fine)) <= 1e-13 * scale
+        assert np.array_equal(stepper.prop.from_spectrum(fine_spec), fine)
+
+
+def test_spectral_trial_overflow_raises():
+    g, u0, w = _rough_data()
+    stepper = Stepper(g, Params(2, 3, HALF), w.values)
+    big = u0.values * 1e120
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepOverflow):
+            strang_trial_by_propagation(stepper, big, 0.3, 1.0)
+        with pytest.raises(StepOverflow):
+            stepper.trial(stepper.prop.to_spectrum(big), 0.3, 1.0)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_step_is_one_propagated_strang_step(t0):
+    # step() is the oracle's full step, bit for bit
+    g, u0, w = _rough_data()
+    params = Params(2, 3, HALF)
+    got = step(u0, t0, 0.1, params, ForcingSpec.from_profile(w))
+    ref_full, _ = strang_trial_by_propagation(Stepper(g, params, w.values), u0.values,
+                                              t0, 0.1)
+    assert np.array_equal(got.values, ref_full)
+
+
+def test_recorded_norms_are_field_norms():
+    # the recorded series are the field-level norms of the accepted fields
+    g, u0, w = _rough_data()
+    params = Params(2, 3, HALF)
+    traj = run(u0, ForcingSpec.from_profile(w),
+               SolveConfig(params=params, Tend=0.2, snapshot_every=1))
+    assert traj.d >= 1.0 and len(traj.snapshots) == traj.times.size > 10
+    boundary = []
+    for i, (t, f) in enumerate(traj.snapshots):
+        assert t == traj.times[i]
+        assert traj.linf[i] == lr_norm(f, math.inf)
+        assert traj.lq[i] == lr_norm(f, traj.q)
+        assert traj.ld[i] == lr_norm(f, traj.d)
+        mean = float(np.sum(f.values)) / g.size
+        fl = lr_norm(Field(g, f.values - mean), traj.q)
+        assert traj.lq_fluct[i] == (t**traj.beta * fl if t > 0 else 0.0)
+        boundary.append(boundary_shell_fraction(f, 0.125))
+    assert traj.boundary_frac_max == max(boundary) > 0.0
 
 
 def test_record_times_hit_exactly():

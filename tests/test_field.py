@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,35 @@ def test_make_bump_gaussian_and_compact():
         make_bump(g, "nope")
 
 
+@pytest.mark.parametrize("N, L, n, center, scale", [
+    (1, 8.0, 64, (0.3,), 0.2),
+    (2, 8.0, 64, (0.5, -1.25), 0.3),
+    (3, 6.0, 32, (1.0, -0.5, 0.25), 0.05),
+    (3, 8.0, 32, (0.0, 0.0, 0.0), 1.0),
+])
+def test_gaussian_bump_matches_full_grid_formula(N, L, n, center, scale):
+    # the per-axis product against exp of the full |x - c|^2 grid; both round
+    # the exponent a = |x - c|^2 / (4 scale), which moves the value by a
+    # relative a * eps, so the bound grows with a in the tails
+    g = Grid(N, L, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # wide bumps touch the box face
+        got = make_bump(g, "gaussian", center=center, scale=scale, amplitude=0.7).values
+    ax = g.axis()
+    r2 = np.zeros(g.shape)
+    for a in range(N):
+        shp = [1] * N
+        shp[a] = n
+        r2 = r2 + ((ax - center[a]) ** 2).reshape(shp)
+    arg = r2 / (4.0 * scale)
+    ref = 0.7 * np.exp(-arg)
+    keep = ref > 1e-300
+    assert np.count_nonzero(keep) > g.size // 2
+    rel = np.abs(got - ref)[keep] / ref[keep]
+    assert np.all(rel <= 1e-15 * (1.0 + arg[keep]))
+    assert np.all(got[~keep] <= 1e-300)
+
+
 def test_compact_bump_against_quadrature_oracle():
     g = Grid(1, 4.0, 1024)
     f = make_bump(g, "compact_bump", scale=1.0, amplitude=1.0)
@@ -145,6 +175,16 @@ def test_boundary_shell_fraction():
     edge = make_bump(g, "compact_bump", center=(7.6,), scale=0.3, amplitude=1.0)
     assert boundary_shell_fraction(edge) == pytest.approx(1.0)
     assert boundary_shell_fraction(Field(g, np.zeros(256))) == 0.0
+
+
+def test_face_mask_built_once_per_grid_and_depth():
+    g = Grid(2, 8.0, 32)
+    mask = g.face_mask(0.125)
+    assert g.face_mask(0.125) is mask and not mask.flags.writeable
+    ax = np.abs(g.axis())
+    near = ax >= 7.0
+    assert np.array_equal(mask, near[:, None] | near[None, :])
+    assert np.count_nonzero(g.face_mask(0.25)) > np.count_nonzero(mask)
 
 
 def test_snapshot_roundtrip(tmp_path, rng):

@@ -1,55 +1,11 @@
-"""Backend checks: the numba fast path and the numpy fallback must agree."""
-
-import json
-import os
-import subprocess
-import sys
+"""Checks of the pointwise reaction kernels and the direct convolution."""
 
 import numpy as np
 import pytest
 
 from critex import kernels
 
-_PROBE = r"""
-import json
-import numpy as np
-from critex import kernels
-
-rng = np.random.default_rng(7)
-v = rng.standard_normal(64)
-c = rng.standard_normal(64)
-out = {
-    "backend": kernels.backend_name(),
-    "plain": kernels.reaction_rk4_plain(v, 0.01, 2.5).tolist(),
-    "forced": kernels.reaction_rk4_forced(v, c, 0.3, 0.01, 2.5, -0.5).tolist(),
-    "tau": kernels.reaction_rk4_tau(v, c, 0.01, 2.5, -0.5).tolist(),
-}
-k = np.exp(-np.linspace(0, 3, 16))
-f = rng.standard_normal((16, 16))
-out["conv"] = kernels.convolve_periodic(f, [k, k], 0.125).tolist()
-print(json.dumps(out))
-"""
-
-
-def _run_probe(force_numpy):
-    env = dict(os.environ)
-    env["CRITEX_NUMBA"] = "0" if force_numpy else "1"
-    res = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
-                         text=True, env=env, check=True)
-    return json.loads(res.stdout)
-
-
-def test_numpy_fallback_matches_numba():
-    fast = _run_probe(force_numpy=False)
-    slow = _run_probe(force_numpy=True)
-    assert slow["backend"] == "numpy"
-    for key in ("plain", "forced", "tau"):
-        a = np.array(fast[key])
-        b = np.array(slow[key])
-        # pointwise kernels mirror each other operation for operation
-        assert np.max(np.abs(a - b)) <= 1e-15
-    conv_diff = np.max(np.abs(np.array(fast["conv"]) - np.array(slow["conv"])))
-    assert conv_diff <= 1e-12  # summation order differs
+from _oracles import reaction_rk4_by_expression
 
 
 def test_reaction_kernels_reduce_to_quadrature(rng):
@@ -65,6 +21,26 @@ def test_reaction_kernels_reduce_to_quadrature(rng):
     assert np.allclose(out0, dt ** (sigma + 1) / (sigma + 1), rtol=1e-14)
 
 
+@pytest.mark.parametrize("p", [2.0, 3, 2.8, 1.5])
+@pytest.mark.parametrize("nl", [1.0, 0.0])
+def test_reaction_kernels_match_array_expressions(rng, p, nl):
+    # the kernels reuse work arrays; the values are those of the expressions
+    v = rng.standard_normal(4096)
+    c = rng.standard_normal(4096)
+    v_in = v.copy()
+    dt = 0.013
+    assert np.array_equal(kernels.reaction_rk4_plain(v, dt, p, nl),
+                          reaction_rk4_by_expression("plain", v, dt, p, nl=nl))
+    for t0, sigma in ((0.3, -0.4), (0.3, 0.5), (0.0, 0.5), (0.0, 0.0)):
+        assert np.array_equal(
+            kernels.reaction_rk4_forced(v, c, t0, dt, p, sigma, nl),
+            reaction_rk4_by_expression("forced", v, dt, p, c, t0, sigma, nl))
+    for sigma in (-0.5, -0.4):
+        assert np.array_equal(kernels.reaction_rk4_tau(v, c, dt, p, sigma, nl),
+                              reaction_rk4_by_expression("tau", v, dt, p, c, 0.0, sigma, nl))
+    assert np.array_equal(v, v_in)
+
+
 def test_plain_kernel_is_rk4(rng):
     v = np.array([1.0])
     dt = 0.02
@@ -76,4 +52,4 @@ def test_numpy_direct_limit():
     big = np.zeros((128, 128))
     k = np.zeros(128)
     with pytest.raises(ValueError, match="too large"):
-        kernels.convolve_periodic_numpy(big, [k, k], 1.0)
+        kernels.convolve_periodic(big, [k, k], 1.0)
