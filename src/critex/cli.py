@@ -165,7 +165,7 @@ def cmd_simulate(ns):
             dt_max=(config_mod.get_float(solve, "dt_max_time")
                     if "dt_max_time" in solve else None),
             Umax=config_mod.get_float(solve, "Umax_value", default=1e8),
-            tol_step=config_mod.get_float(solve, "tol_step", default=1e-7),
+            tol_step=config_mod.get_float(solve, "tol_step", default=evolve.DEFAULT_TOL_STEP),
             snapshot_every=config_mod.get_int(solve, "snapshot_every", default=0),
             record_times=config_mod.get_floats(solve, "record_times_time", default=()),
         )
@@ -300,7 +300,7 @@ def cmd_sweep(ns):
             tend=config_mod.get_float(sec, "Tend_time", default=100.0),
             tend_max=config_mod.get_float(sec, "Tend_max_time", default=1e4),
             umax=config_mod.get_float(sec, "Umax_value", default=1e8),
-            tol_step=config_mod.get_float(sec, "tol_step", default=1e-7),
+            tol_step=config_mod.get_float(sec, "tol_step", default=evolve.DEFAULT_TOL_STEP),
             dt0=config_mod.get_float(sec, "dt0_time", default=1e-4),
             budget_cstar=config_mod.get_float(sec, "budget_cstar", default=1.0),
         )

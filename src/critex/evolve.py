@@ -13,8 +13,21 @@ of length h from that spectrum, with m(s) = exp(-s|xi|^2), forms the full
 step m(h/2) F R_h I m(h/2) and the two half steps, whose inner quarter-step
 diffusions merge into one m(h/2): m(h/4) F R_{h/2} I m(h/2) F R_{h/2} I
 m(h/4).  With the two inverse transforms the error test needs, a trial
-costs 8 real FFTs, and an accepted fine spectrum is the next step's start,
-so no accepted field is transformed forward again.
+costs 8 real FFTs, and the accepted spectrum is the next step's start, so
+no accepted field is transformed forward again.
+
+Strang splitting is symmetric, so the errors of the full step S(h) and of
+the fine pair S(h/2)^2 have odd powers of h only, and fine - full is the
+O(h^3) estimate the step controller uses.  An accepted trial from t0 > 0
+keeps the Richardson value (4 fine - full)/3, a 4th-order step (local
+extrapolation), formed from the spectra and fields the trial already has,
+so it costs no transform; the estimate is conservative for it.  The first
+step, from t0 = 0, keeps fine: there the forcing weight s^sigma is not
+smooth.  Hence the default tolerance DEFAULT_TOL_STEP = 1e-6, where plain
+Strang steps needed 1e-7 for the same blow-up-time accuracy.  The RK4
+reaction error has every power of h from h^5 on, which the extrapolation
+does not cancel: where the reaction dominates (spatially uniform data), the
+extrapolated value is less accurate than fine.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ _GROW_CAP = 4.0
 _SHRINK_FLOOR = 0.2
 _SAFETY = 0.9
 _BOUNDARY_FLAG_LEVEL = 1e-6
+DEFAULT_TOL_STEP = 1e-6
 
 
 class StepOverflow(RuntimeError):
@@ -57,6 +71,13 @@ class SolveConfig:
     equation (diagnostic mode).  A run that continues a trajectory caps its
     steps by this config's effective_dt_max, the value a fresh run to the
     new Tend would use, and ignores dt0: the step-size proposal carries over.
+
+    tol_step bounds the step-doubling estimate max|full - fine| / (1 +
+    max|fine|) of each step.  The estimate is O(h^3), while every accepted
+    step after the first is extrapolated to 4th order, so the default
+    DEFAULT_TOL_STEP = 1e-6 gives blow-up times about as accurate as 1e-7
+    gave plain Strang steps, in about half the trials (less accurate where
+    the reaction dominates; see the module docstring).
     """
 
     params: Params
@@ -65,7 +86,7 @@ class SolveConfig:
     dt_min: float = 1e-12
     dt_max: float | None = None
     Umax: float = 1e8
-    tol_step: float = 1e-7
+    tol_step: float = DEFAULT_TOL_STEP
     snapshot_every: int = 0
     record_times: tuple = ()
     nonlinear: bool = True
@@ -126,12 +147,22 @@ class Stepper:
         return out
 
     def trial(self, spec, t0, dt):
-        """One step-doubling trial from spec: (full, fine, spectrum of fine)."""
+        """One step-doubling trial from spec: full and fine fields, then spectra."""
         half, quarter = self.prop.multiplier(0.5 * dt), self.prop.multiplier(0.25 * dt)
         full = self.step_values(spec, t0, dt, half, half)
         mid = self.step_values(spec, t0, 0.5 * dt, quarter, half)
         fine = self.step_values(mid, t0 + 0.5 * dt, 0.5 * dt, None, quarter)
-        return self.prop.from_spectrum(full), self.prop.from_spectrum(fine), fine
+        return self.prop.from_spectrum(full), self.prop.from_spectrum(fine), full, fine
+
+
+def accepted_state(t0, full, fine):
+    """What an accepted trial from t0 keeps: fields or spectra alike.
+
+    (4 fine - full)/3 for t0 > 0, the fine value for the first step.
+    """
+    if t0 > 0.0:
+        return fine + (fine - full) / 3.0
+    return fine
 
 
 def step(u, t, dt, params, w=None, nonlinear=True):
@@ -296,9 +327,7 @@ def run(start, w, cfg):
         ld_s.append(ldv)
         weighted_s.append(t**beta * lqv if t > 0 else (lqv if beta == 0.0 else 0.0))
         fluct_s.append(t**beta * fl if t > 0 else (fl if beta == 0.0 else 0.0))
-        if float(np.sum(absu)) > 0.0:
-            frac = boundary_shell_fraction(Field(grid, values), 0.125)
-            boundary_max = max(boundary_max, frac)
+        boundary_max = max(boundary_max, boundary_shell_fraction((grid, values), 0.125, absu))
         return linf
 
     dt_max = cfg.effective_dt_max
@@ -333,7 +362,7 @@ def run(start, w, cfg):
         else:
             dt_try = min(dt, dt_max, gap)
             try:
-                full, fine, fine_spec = stepper.trial(spec, t, dt_try)
+                full, fine, full_spec, fine_spec = stepper.trial(spec, t, dt_try)
                 err = float(np.max(np.abs(full - fine))) / (
                     1.0 + float(np.max(np.abs(fine)))
                 )
@@ -351,7 +380,8 @@ def run(start, w, cfg):
                 if dt < cfg.dt_min:
                     verdict, t_star = growth_verdict()
                 continue
-            v, spec = fine, fine_spec
+            v = accepted_state(t, full, fine)
+            spec = accepted_state(t, full_spec, fine_spec)
             t = t + dt_try
             accepted += 1
             linf = record(t, v)

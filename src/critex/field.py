@@ -144,17 +144,23 @@ def norm_of_abs(absu, r, cell_volume):
     return (cell_volume * float(np.sum(absu**r))) ** (1.0 / r)
 
 
-def boundary_shell_fraction(f, depth=0.125):
+def boundary_shell_fraction(f, depth=0.125, absu=None):
     """Fraction of the L1 mass within depth*L of the box faces.
 
-    Returns 0 for the zero field.  Large values mean the periodic
+    Returns 0 for the zero field and for a spatially constant field, which
+    the periodic box carries exactly.  Large values mean the periodic
     truncation is no longer a faithful stand-in for free space.
+
+    f is a Field or a (grid, values) pair.  A caller that has already taken
+    |values| passes it as absu.
     """
-    absu = np.abs(f.values)
+    grid, values = (f.grid, f.values) if isinstance(f, Field) else f
+    if absu is None:
+        absu = np.abs(values)
     total = float(np.sum(absu))
-    if total == 0.0:
+    if total == 0.0 or values.min() == values.max():
         return 0.0
-    return float(np.sum(absu[f.grid.face_mask(depth)])) / total
+    return float(np.sum(absu[grid.face_mask(depth)])) / total
 
 
 @dataclass(frozen=True)

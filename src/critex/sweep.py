@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .evolve import SolveConfig, StepOverflow, Verdict, run
+from .evolve import DEFAULT_TOL_STEP, SolveConfig, StepOverflow, Verdict, run
 from .exponents import (
     Params,
     Regime,
@@ -65,7 +65,7 @@ class SweepPlan:
     tend: float = 100.0
     tend_max: float = 1e4
     umax: float = 1e8
-    tol_step: float = 1e-7
+    tol_step: float = DEFAULT_TOL_STEP
     dt0: float = 1e-4
     budget_scaled_data: bool = True
     budget_cstar: float = 1.0

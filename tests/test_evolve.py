@@ -9,6 +9,7 @@ from critex.evolve import (
     Stepper,
     StepOverflow,
     Verdict,
+    accepted_state,
     run,
     step,
     weighted_norm_series,
@@ -192,7 +193,7 @@ def test_continued_run_equals_one_run():
     # records at T1; the continued segment blows up
     params, u0, w = _split_run_case()
     T1, T2 = 0.5, 3.0
-    same = dict(params=params, dt_max=0.05, snapshot_every=50)
+    same = dict(params=params, dt_max=0.05, snapshot_every=20)
     first = run(u0, w, SolveConfig(Tend=T1, record_times=(T1,), **same))
     assert first.verdict is Verdict.REACHED_HORIZON and first.end.t == T1
     cfg2 = SolveConfig(Tend=T2, record_times=(T2,), **same)
@@ -260,12 +261,53 @@ def test_spectral_trial_matches_propagation_oracle(sigma, t0, forced, nonlinear)
     stepper = Stepper(g, Params(2, 3, sigma), w.values if forced else None, nonlinear)
     spec = stepper.prop.to_spectrum(u0.values)
     for dt in (0.05, 0.2):
-        full, fine, fine_spec = stepper.trial(spec, t0, dt)
+        full, fine, full_spec, fine_spec = stepper.trial(spec, t0, dt)
         ref_full, ref_fine = strang_trial_by_propagation(stepper, u0.values, t0, dt)
         scale = 1.0 + float(np.max(np.abs(ref_fine)))
         assert np.max(np.abs(full - ref_full)) <= 1e-13 * scale
         assert np.max(np.abs(fine - ref_fine)) <= 1e-13 * scale
+        assert np.array_equal(stepper.prop.from_spectrum(full_spec), full)
         assert np.array_equal(stepper.prop.from_spectrum(fine_spec), fine)
+        # the accepted state: extrapolated after the first step, fine at t0 = 0
+        ref_kept = (4.0 * ref_fine - ref_full) / 3.0 if t0 > 0.0 else ref_fine
+        kept = accepted_state(t0, full, fine)
+        kept_from_spec = stepper.prop.from_spectrum(accepted_state(t0, full_spec, fine_spec))
+        assert np.max(np.abs(kept - ref_kept)) <= 1e-13 * scale
+        assert np.max(np.abs(kept_from_spec - ref_kept)) <= 1e-13 * scale
+
+
+def test_extrapolated_step_is_fourth_order():
+    # fixed steps h from t0 = 0.3 on rough forced data, against steps 16x
+    # finer: the accepted (extrapolated) value loses about 2^4 per halving
+    # of h, the fine value of the same trials alone about 2^2
+    g, u0, w = _rough_data()
+    params = Params(2, 3, HALF)
+    forcing = ForcingSpec.from_profile(w)
+    T1, T2 = 0.3, 0.5
+    loose = dict(params=params, tol_step=1e3)
+    first = run(u0, forcing, SolveConfig(Tend=T1, dt0=T1, **loose))
+    stepper = Stepper(g, params, w.values)
+
+    def extrapolated(h):
+        traj = run(first, forcing, SolveConfig(Tend=T2, dt0=h, dt_max=h,
+                                              record_times=(T2,), **loose))
+        steps = np.diff(traj.times[traj.times >= T1])
+        assert steps.size == round((T2 - T1) / h) and np.allclose(steps, h)
+        return traj.snapshot_at(T2).values
+
+    def fine_only(h):
+        spec, t = first.end.spec, T1
+        for _ in range(round((T2 - T1) / h)):
+            _, fine, _, spec = stepper.trial(spec, t, h)
+            t += h
+        return fine
+
+    hs = (0.01, 0.005, 0.0025)
+    ref = extrapolated(hs[-1] / 16)
+    for scheme, order in ((extrapolated, 4.0), (fine_only, 2.0)):
+        errs = [np.max(np.abs(scheme(h) - ref)) for h in hs]
+        for coarse, finer in zip(errs, errs[1:]):
+            assert math.log2(coarse / finer) == pytest.approx(order, abs=0.3), errs
 
 
 def test_spectral_trial_overflow_raises():
@@ -308,6 +350,18 @@ def test_recorded_norms_are_field_norms():
         assert traj.lq_fluct[i] == (t**traj.beta * fl if t > 0 else 0.0)
         boundary.append(boundary_shell_fraction(f, 0.125))
     assert traj.boundary_frac_max == max(boundary) > 0.0
+
+
+@pytest.mark.parametrize("c", [1.0, 0.3])
+def test_constant_data_not_boundary_flagged(c):
+    # spatially constant data are exact on the torus: no truncation alarm
+    g = Grid(2, 2.0, 16)
+    w = ForcingSpec.from_profile(const_field(g, 0.3))
+    traj = run(const_field(g, c), w,
+               SolveConfig(params=Params(2, 2, Fraction(1, 2)), Tend=0.5))
+    assert traj.verdict is Verdict.REACHED_HORIZON and traj.linf[-1] > c
+    assert traj.boundary_frac_max == 0.0
+    assert not traj.boundary_flagged
 
 
 def test_record_times_hit_exactly():

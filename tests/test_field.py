@@ -177,6 +177,17 @@ def test_boundary_shell_fraction():
     assert boundary_shell_fraction(Field(g, np.zeros(256))) == 0.0
 
 
+def test_boundary_shell_fraction_constant_and_precomputed():
+    # constants are exact on the torus; precomputed |values| give the same
+    # fraction as the field itself
+    g = Grid(2, 1.0, 16)
+    for c in (1.0, 0.3, -2.0):
+        assert boundary_shell_fraction(Field(g, np.full(g.shape, c))) == 0.0
+    f = make_bump(g, "compact_bump", center=(0.3, 0.0), scale=0.6, amplitude=1.0)
+    frac = boundary_shell_fraction((g, f.values), 0.25, np.abs(f.values))
+    assert frac == boundary_shell_fraction(f, 0.25) > 0.0
+
+
 def test_face_mask_built_once_per_grid_and_depth():
     g = Grid(2, 8.0, 32)
     mask = g.face_mask(0.125)
