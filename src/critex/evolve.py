@@ -1,9 +1,13 @@
 """Time integration of the forced reaction-diffusion equation.
 
-Strang splitting: exact spectral diffusion half-steps around a pointwise
-Runge-Kutta step of v' = |v|^p + s^sigma * w(x).  Steps that touch s = 0
-with sigma < 0 integrate the reaction in the variable tau = s^(sigma+1), so
-the singular-in-time forcing enters through its exact antiderivative.  Step
+Strang splitting: exact spectral diffusion half-steps around the pointwise
+substep R_h = K(h/2) N(h) K(h/2) for v' = |v|^p + s^sigma * w(x), whose
+parts are exact flows.  The forcing kick K adds w times the integral of
+s^sigma over a half step, exact at s = 0 too, where s^sigma is singular for
+sigma < 0.  N is the flow of v' = |v|^p,
+v (1 - (p-1) h sign(v)|v|^(p-1))^(-1/(p-1)); a base <= 0 means v blows up
+inside the substep, which raises StepOverflow before the base is raised to
+-1/(p-1) (for p = 2 that power of a negative base would be finite).  Step
 size is controlled by step doubling, and blow-up is declared either when the
 sup norm crosses the configured threshold or when the step collapses while
 the sup norm keeps growing.
@@ -16,18 +20,16 @@ m(h/4).  With the two inverse transforms the error test needs, a trial
 costs 8 real FFTs, and the accepted spectrum is the next step's start, so
 no accepted field is transformed forward again.
 
-Strang splitting is symmetric, so the errors of the full step S(h) and of
-the fine pair S(h/2)^2 have odd powers of h only, and fine - full is the
-O(h^3) estimate the step controller uses.  An accepted trial from t0 > 0
-keeps the Richardson value (4 fine - full)/3, a 4th-order step (local
-extrapolation), formed from the spectra and fields the trial already has,
-so it costs no transform; the estimate is conservative for it.  The first
-step, from t0 = 0, keeps fine: there the forcing weight s^sigma is not
-smooth.  Hence the default tolerance DEFAULT_TOL_STEP = 1e-6, where plain
-Strang steps needed 1e-7 for the same blow-up-time accuracy.  The RK4
-reaction error has every power of h from h^5 on, which the extrapolation
-does not cancel: where the reaction dominates (spatially uniform data), the
-extrapolated value is less accurate than fine.
+A symmetric composition of exact flows has an error expansion in odd
+powers of h only (McLachlan & Quispel, Acta Numerica 2002), so fine - full
+is the O(h^3) estimate the step controller uses, and an accepted trial from
+t0 > 0 keeps the Richardson value (4 fine - full)/3, a 4th-order step
+(local extrapolation), formed from the spectra and fields the trial already
+has, so it costs no transform; the estimate is conservative for it.  The
+first step, from t0 = 0, keeps fine: there the forcing weight s^sigma is
+not smooth.  Hence the default tolerance DEFAULT_TOL_STEP = 1e-6.  On
+spatially uniform data the substep is exact and the estimate reads only
+roundoff, so steps there are limited by blow-up inside the substep.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import kernels
 from .exponents import Params, derive
 from .field import Field, ForcingSpec, boundary_shell_fraction, lr_norm, norm_of_abs
 from .semigroup import Propagator
@@ -53,7 +54,7 @@ DEFAULT_TOL_STEP = 1e-6
 
 
 class StepOverflow(RuntimeError):
-    """Raised when a reaction substep produces non-finite values."""
+    """Raised when a reaction substep blows up or produces non-finite values."""
 
 
 class Verdict(enum.Enum):
@@ -74,10 +75,9 @@ class SolveConfig:
 
     tol_step bounds the step-doubling estimate max|full - fine| / (1 +
     max|fine|) of each step.  The estimate is O(h^3), while every accepted
-    step after the first is extrapolated to 4th order, so the default
-    DEFAULT_TOL_STEP = 1e-6 gives blow-up times about as accurate as 1e-7
-    gave plain Strang steps, in about half the trials (less accurate where
-    the reaction dominates; see the module docstring).
+    step after the first is extrapolated to 4th order; the reaction and
+    forcing substeps are exact flows, so only the splitting error is left
+    for the extrapolation to cancel (see the module docstring).
     """
 
     params: Params
@@ -123,20 +123,58 @@ class Stepper:
         self.p = float(params.p)
         self.sigma = float(params.sigma)
         self.w = None if w_values is None else np.ascontiguousarray(w_values).ravel()
-        self.nl = 1.0 if nonlinear else 0.0
+        self.nl = bool(nonlinear)
+
+    def _kick(self, a, b):
+        """int_a^b s^sigma ds, without cancellation when b - a << a."""
+        s1 = self.sigma + 1.0
+        if a == 0.0:
+            return b**s1 / s1
+        return a**s1 * math.expm1(s1 * math.log1p((b - a) / a)) / s1
+
+    def _flow(self, v, dt):
+        """Exact flow of v' = |v|^p over dt, in a new array.
+
+        v (1 - (p-1) dt sign(v)|v|^(p-1))^(-1/(p-1)); a base <= 0 (or NaN)
+        is blow-up inside the step and raises StepOverflow before the base
+        is raised to -1/(p-1), since for some p that power is finite.
+        """
+        pm1 = self.p - 1.0
+        with np.errstate(over="ignore"):  # step_values rejects non-finite output
+            base = np.abs(v)
+            base **= pm1
+            np.copysign(base, v, out=base)
+            base *= -pm1 * dt
+            base += 1.0
+            if not base.min() > 0.0:
+                raise StepOverflow(f"blow-up inside a step of length {dt}")
+            base **= -1.0 / pm1
+            base *= v
+        return base
 
     def _react(self, flat, t0, dt):
+        """K(dt/2) N(dt) K(dt/2) over [t0, t0 + dt], without writing flat.
+
+        K adds the exact integral of s^sigma w over a half step, between the
+        floating-point times the clock passes, and N is the exact reaction
+        flow (skipped when nonlinear is off).
+        """
         if self.w is None:
-            return kernels.reaction_rk4_plain(flat, dt, self.p, self.nl)
-        if t0 == 0.0 and self.sigma < 0.0:
-            return kernels.reaction_rk4_tau(flat, self.w, dt, self.p, self.sigma, self.nl)
-        return kernels.reaction_rk4_forced(flat, self.w, t0, dt, self.p, self.sigma, self.nl)
+            return self._flow(flat, dt) if self.nl else flat
+        mid, end = t0 + 0.5 * dt, t0 + dt
+        v = self.w * self._kick(t0, mid)
+        v += flat
+        if self.nl:
+            v = self._flow(v, dt)
+        v += self.w * self._kick(mid, end)
+        return v
 
     def step_values(self, spec, t0, dt, pre, post):
         """post * F(R(I(pre * spec))) with R the reaction over [t0, t0 + dt].
 
         pre and post are diffusion multipliers; pre None is the identity.
-        Raises StepOverflow when the reaction output is not finite.
+        Raises StepOverflow when the reaction blows up inside the step or
+        its output is not finite.
         """
         values = self.prop.from_spectrum(spec if pre is None else spec * pre)
         react = self._react(values.ravel(), t0, dt)

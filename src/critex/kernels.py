@@ -1,12 +1,12 @@
-"""Hot numeric kernels, in numpy.
+"""Retired Runge-Kutta reaction kernels, in numpy.
 
-Kernels here are the runtime hot spots:
-
-* one Runge-Kutta step of the pointwise reaction ODE
-  v' = nl * |v|^p + s^sigma * c, in plain time or in the regularizing
-  variable tau = s^(sigma+1) for steps that touch s = 0 with sigma < 0;
-* direct summation of a separable periodic kernel against a field
-  (the FFT-free convolution oracle).
+The evolver no longer calls anything here: its reaction substep is the
+exact flow of v' = |v|^p between exact forcing kicks (`evolve.Stepper`).
+These are one RK4 step of the pointwise reaction ODE
+v' = nl * |v|^p + s^sigma * c, in plain time or in the regularizing
+variable tau = s^(sigma+1) for steps that touch s = 0 with sigma < 0.  They
+stay, with `backend_name` and `NUMBA_ENABLED`, only because the benchmark
+harness resolves these names; its `kernels.reaction_*` counters read 0.
 """
 
 from __future__ import annotations
@@ -92,34 +92,6 @@ def reaction_rk4_tau(v, c, dt, p, sigma, nl=1.0):
     ac = a * c
     # tau = 0: the nonlinear coefficient of k1 vanishes (a > 1)
     return _rk4(v, tau, p, [(None, ac), (g2, ac), (g2, ac), (g4, ac)])
-
-
-# ---------------------------------------------------------------------------
-# Direct periodic convolution with a separable kernel.
-#
-# out[i] = volume * sum_j (prod_a kern_a[(i_a - j_a) mod n]) * f[j]
-#
-# This is the FFT-free oracle; cost is O((n^N)^2), so it is meant for small
-# grids only.  It materializes the full circulant matrix and refuses grids
-# where that would be unreasonable.
-# ---------------------------------------------------------------------------
-
-_DIRECT_LIMIT = 8192  # max n^N for the dense circulant matrix
-
-
-def convolve_periodic(values, kernel_axes, volume):
-    n = values.shape[0]
-    ndim = values.ndim
-    if values.size > _DIRECT_LIMIT:
-        raise ValueError(
-            f"grid with {values.size} points is too large for the dense "
-            f"direct convolution (limit {_DIRECT_LIMIT})"
-        )
-    diff = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    mat = kernel_axes[0][diff]
-    for a in range(1, ndim):
-        mat = np.kron(mat, kernel_axes[a][diff])
-    return volume * (mat @ values.ravel()).reshape(values.shape)
 
 
 def backend_name():

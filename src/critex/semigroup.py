@@ -1,10 +1,9 @@
 """The heat semigroup on the periodic grid.
 
 Propagation is exact in the spectral sense: each Fourier mode is damped by
-exp(-t |xi|^2) with xi the integer frequency scaled by pi/L.  A direct
-summation against the periodized Gaussian kernel (no FFT anywhere) serves as
-the independent oracle, and the smoothing-estimate machinery measures the
-empirical constant of the q -> r decay bound.
+exp(-t |xi|^2) with xi the integer frequency scaled by pi/L.  The
+smoothing-estimate machinery measures the empirical constant of the q -> r
+decay bound.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .field import Field, lr_norm
 
 _CACHE_CAP = 256
@@ -151,34 +149,3 @@ def estimate_smoothing_constant(grid, q, r, probes, times):
             samples.append((t, ratio))
     c1_hat = max(s[1] for s in samples)
     return SmoothingReport(q=float(q), r=float(r), samples=tuple(samples), c1_hat=c1_hat)
-
-
-def periodized_kernel_axis(grid, t):
-    """1-D periodized heat kernel sampled at the grid displacements.
-
-    K(x) = sum_m (4 pi t)^(-1/2) exp(-(x - 2Lm)^2 / (4t)), truncated once the
-    images fall below machine level.  The N-dimensional kernel is the product
-    over axes.
-    """
-    L, n, h = grid.L, grid.n, grid.h
-    x = ((h * np.arange(n) + L) % (2.0 * L)) - L
-    images = int(math.ceil(math.sqrt(4.0 * t * 40.0) / (2.0 * L))) + 1
-    k = np.zeros(n)
-    norm = (4.0 * math.pi * t) ** -0.5
-    for m in range(-images, images + 1):
-        k += norm * np.exp(-((x - 2.0 * L * m) ** 2) / (4.0 * t))
-    return k
-
-
-def oracle_convolve(f, t):
-    """Heat evolution by direct summation against the periodized kernel.
-
-    O((n^N)^2) work; intended for small grids as an FFT-free cross-check of
-    Propagator.apply.
-    """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    g = f.grid
-    k1 = periodized_kernel_axis(g, t)
-    out = kernels.convolve_periodic(f.values, [k1] * g.N, g.cell_volume)
-    return Field(g, out)

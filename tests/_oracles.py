@@ -104,6 +104,49 @@ def duhamel_forced_linear(prop, w_values, t, sigma, nodes=400):
     return acc / s1
 
 
+def periodized_kernel_axis(grid, t):
+    """1-D periodized heat kernel sampled at the grid displacements.
+
+    K(x) = sum_m (4 pi t)^(-1/2) exp(-(x - 2Lm)^2 / (4t)), truncated once the
+    images fall below machine level.  The N-dimensional kernel is the product
+    over axes.
+    """
+    L, n, h = grid.L, grid.n, grid.h
+    x = ((h * np.arange(n) + L) % (2.0 * L)) - L
+    images = int(math.ceil(math.sqrt(4.0 * t * 40.0) / (2.0 * L))) + 1
+    k = np.zeros(n)
+    norm = (4.0 * math.pi * t) ** -0.5
+    for m in range(-images, images + 1):
+        k += norm * np.exp(-((x - 2.0 * L * m) ** 2) / (4.0 * t))
+    return k
+
+
+def convolve_periodic(values, kernel_axes, volume):
+    """volume * sum_j prod_a kern_a[(i_a - j_a) mod n] values[j], no FFT.
+
+    The kernel is separable, so the sum is one dense n x n circulant matrix
+    applied along each axis in turn: O(n^(N+1)) work.
+    """
+    n = values.shape[0]
+    diff = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    out = values
+    for a, kern in enumerate(kernel_axes):
+        out = np.moveaxis(np.tensordot(kern[diff], out, axes=([1], [a])), 0, a)
+    return volume * out
+
+
+def oracle_convolve(f, t):
+    """Heat evolution of a Field by direct summation against the periodized
+    kernel: an FFT-free cross-check of Propagator.apply."""
+    from critex.field import Field
+
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t}")
+    g = f.grid
+    k1 = periodized_kernel_axis(g, t)
+    return Field(g, convolve_periodic(f.values, [k1] * g.N, g.cell_volume))
+
+
 def nonlinear_by_propagation(prop, times, p, u0_values, fields, j):
     """int_0^{t_j} e^{(t_j - s)D} |u(s)|^p ds by one propagation per ladder node.
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -54,20 +55,111 @@ def test_zero_stays_zero():
     assert np.all(traj.linf == 0.0)
 
 
-def test_single_step_matches_ode_to_fifth_order():
-    # constant field, no forcing: diffusion is the identity, so one step is
-    # exactly one RK4 step of v' = v^p; check the local order by halving dt
+def test_single_step_on_constant_data_is_exact():
+    # constant field, no forcing: diffusion is the identity and the reaction
+    # substep is the exact flow of v' = v^2, so one step gives 1/(1 - dt)
     g = small_grid()
-    params = Params(1, 2, HALF)
     u = const_field(g, 1.0)
-    errs = []
-    for dt in (0.01, 0.005):
-        out = step(u, 0.0, dt, params, None)
+    for dt in (0.01, 0.005, 0.5, 0.9):
+        out = step(u, 0.0, dt, Params(1, 2, HALF), None).values
         exact = 1.0 / (1.0 - dt)
-        errs.append(abs(float(out.values[0]) - exact))
-    order = math.log2(errs[0] / errs[1])
-    assert errs[0] < 1e-10
-    assert order >= 4.5  # local truncation ~ dt^5
+        assert np.all(np.abs(out - exact) <= 4 * np.spacing(exact)), dt
+
+
+@pytest.mark.parametrize("p", ["1.5", "2", "2.8", "4"])
+def test_reaction_flow_matches_mpmath_ode(p):
+    # N(dt) against mpmath's Taylor-series ODE solver for v' = |v|^p, both
+    # signs of v; the input array is left as it was
+    import mpmath
+
+    stepper = Stepper(small_grid(), Params(1, p, HALF), None)
+    v = np.array([0.8, -1.7])
+    v_in = v.copy()
+    dt = 0.25
+    got = stepper._react(v, 0.3, dt)
+    assert np.array_equal(v, v_in)
+    pf = float(Fraction(p))
+    with mpmath.workdps(20):
+        for x, y in zip(v_in, got):
+            ref = float(mpmath.odefun(lambda s, u: abs(u) ** pf, 0, x)(dt))
+            assert abs(y - ref) <= 4 * np.spacing(abs(ref)), (x, y, ref)
+
+
+@pytest.mark.parametrize("sigma, t0, dt", [
+    ("-0.4", 0.0, 0.3),
+    ("0.5", 0.0, 0.3),
+    ("-0.4", 1e3, 1e-6),
+    ("0.5", 1e3, 1e-6),
+])
+def test_forcing_kicks_match_mpmath_integral(sigma, t0, dt):
+    # nonlinearity off, v = 0: the substep is the two half-step kicks, which
+    # together are int s^sigma ds times w up to where the clock lands, the
+    # float t0 + dt; at s = 0 too, and without cancellation for dt << t0
+    import mpmath
+
+    g = small_grid()
+    w = np.linspace(-1.0, 2.0, g.size)
+    stepper = Stepper(g, Params(1, 2, sigma), w, nonlinear=False)
+    v = np.zeros(g.size)
+    got = stepper._react(v, t0, dt)
+    assert np.all(v == 0.0)
+    sg = float(Fraction(sigma))
+    with mpmath.workdps(30):
+        ref = float(mpmath.quad(lambda s: s**sg, [t0, mpmath.mpf(t0 + dt)]))
+    assert np.allclose(got, w * ref, rtol=2e-15, atol=0.0)
+
+
+def test_forced_substep_is_a_strang_step():
+    # K(dt/2) N(dt) K(dt/2) against DOP853 on v' = |v|^p + t^sigma c: the
+    # local error of the symmetric composition falls as dt^3
+    from scipy.integrate import solve_ivp
+
+    g = small_grid()
+    c = np.linspace(0.2, 1.0, g.size)
+    sigma, p, t0 = -0.4, 3.0, 0.5
+    stepper = Stepper(g, Params(1, 3, "-0.4"), c)
+    v = np.linspace(-0.5, 0.3, g.size)
+    errs = []
+    for dt in (0.04, 0.02, 0.01):
+        ref = solve_ivp(lambda t, y: np.abs(y) ** p + t**sigma * c, (t0, t0 + dt), v,
+                        method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+        errs.append(np.max(np.abs(stepper._react(v, t0, dt) - ref)))
+    for coarse, finer in zip(errs, errs[1:]):
+        assert math.log2(coarse / finer) == pytest.approx(3.0, abs=0.3), errs
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("v0", [1.0, 2.0])
+def test_blowup_inside_a_substep_raises(p, v0):
+    # a step longer than the blow-up time 1/((p-1) v0^(p-1)) of v' = v^p;
+    # for p = 2 the power of the negative base would be finite
+    g = small_grid()
+    params = Params(1, p, HALF)
+    u = const_field(g, v0)
+    t_blow = 1.0 / ((p - 1) * v0 ** (p - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(step(u, 0.0, 0.99 * t_blow, params, None).values))
+        with pytest.raises(StepOverflow):
+            step(u, 0.0, 1.01 * t_blow, params, None)
+        stepper = Stepper(g, params)
+        with pytest.raises(StepOverflow):
+            stepper.trial(stepper.prop.to_spectrum(u.values), 0.0, 1.01 * t_blow)
+
+
+@pytest.mark.parametrize("p", ["1.5", "2", "2.8", "3"])
+def test_uniform_blowup_time_is_the_umax_crossing(p):
+    # v' = v^p from v0 = 1 crosses Umax at (1 - Umax^(1-p))/(p-1); uniform
+    # data have no splitting error, so t* is off only by the discrete crossing
+    g = small_grid()
+    cfg = SolveConfig(params=Params(1, p, HALF), Tend=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = run(const_field(g, 1.0), None, cfg)
+    pm1 = float(Fraction(p)) - 1.0
+    crossing = (1.0 - cfg.Umax ** -pm1) / pm1
+    assert traj.verdict is Verdict.BLEW_UP
+    assert abs(traj.t_star - crossing) <= 1e-4
 
 
 def test_step_requires_positive_dt():
@@ -248,7 +340,7 @@ def _rough_data():
 
 
 @pytest.mark.parametrize("sigma, t0, forced, nonlinear", [
-    (HALF, 0.0, True, True),  # the tau-variable first step
+    (HALF, 0.0, True, True),  # the first step, from the singular s^sigma at 0
     (HALF, 0.3, True, True),
     (Fraction(1, 2), 0.0, True, True),
     (Fraction(1, 2), 0.3, True, True),

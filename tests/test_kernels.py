@@ -1,4 +1,4 @@
-"""Checks of the pointwise reaction kernels and the direct convolution."""
+"""Checks of the retired RK4 reaction kernels, which the benchmark still resolves."""
 
 import numpy as np
 import pytest
@@ -46,10 +46,3 @@ def test_plain_kernel_is_rk4(rng):
     dt = 0.02
     out = kernels.reaction_rk4_plain(v, dt, 2.0)
     assert abs(out[0] - 1.0 / (1.0 - dt)) < dt**5
-
-
-def test_numpy_direct_limit():
-    big = np.zeros((128, 128))
-    k = np.zeros(128)
-    with pytest.raises(ValueError, match="too large"):
-        kernels.convolve_periodic(big, [k, k], 1.0)
