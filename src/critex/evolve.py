@@ -1,24 +1,32 @@
 """Time integration of the forced reaction-diffusion equation.
 
-Strang splitting: exact spectral diffusion half-steps around the pointwise
-substep R_h = K(h/2) N(h) K(h/2) for v' = |v|^p + s^sigma * w(x), whose
-parts are exact flows.  The forcing kick K adds w times the integral of
-s^sigma over a half step, exact at s = 0 too, where s^sigma is singular for
-sigma < 0.  N is the flow of v' = |v|^p,
-v (1 - (p-1) h sign(v)|v|^(p-1))^(-1/(p-1)); a base <= 0 means v blows up
-inside the substep, which raises StepOverflow before the base is raised to
--1/(p-1) (for p = 2 that power of a negative base would be finite).  Step
-size is controlled by step doubling, and blow-up is declared either when the
-sup norm crosses the configured threshold or when the step collapses while
-the sup norm keeps growing.
+Only the reaction is split off.  The substep over [a, b] with midpoint m
+is L(a -> m) N(h) L(m -> b), whose parts are exact flows.  L is the flow of
+the linear forced equation u' = Lap u + s^sigma w, mode by mode on the
+half-spectrum: u_hat <- exp(-(b-a)|xi|^2) u_hat + w_hat phi(a, b), with
+phi(a, b) = F(b) - exp(-(b-a)|xi|^2) F(a) and F(t) =
+t^(sigma+1)/(sigma+1) 1F1(1; sigma+2; -t|xi|^2) (`forcing_multiplier`),
+evaluated once per distinct |xi|^2 and cached by the float t.  The zero
+mode takes int_a^b s^sigma ds in closed form, which does not cancel when
+b - a << a and is exact at s = 0, where s^sigma is singular for sigma < 0.
+N is the flow of v' = |v|^p, v (1 - (p-1) h sign(v)|v|^(p-1))^(-1/(p-1));
+a base <= 0 means v blows up inside the substep, which raises StepOverflow
+before the base is raised to -1/(p-1) (for p = 2 that power of a negative
+base would be finite).  Step size is controlled by step doubling; with the
+forcing inside the exact flow, only the reaction limits it.  Blow-up is
+declared either when the sup norm crosses the configured threshold Umax,
+at the time where sup^(1-p), interpolated linearly in t between the last
+two accepted steps, reaches Umax^(1-p) (exact for the ODE blow-up
+profile), or when the step collapses while the sup norm keeps growing.
 
 The state between steps is the half-spectrum of v.  A step-doubling trial
-of length h from that spectrum, with m(s) = exp(-s|xi|^2), forms the full
-step m(h/2) F R_h I m(h/2) and the two half steps, whose inner quarter-step
-diffusions merge into one m(h/2): m(h/4) F R_{h/2} I m(h/2) F R_{h/2} I
-m(h/4).  With the two inverse transforms the error test needs, a trial
-costs 8 real FFTs, and the accepted spectrum is the next step's start, so
-no accepted field is transformed forward again.
+of length h from t0 forms the full step L N(h) L and the two half steps,
+whose inner flows L(q1 -> m) L(m -> q3) merge into L(q1 -> q3), with q1,
+m and q3 at a quarter, half and three quarters of the step.  With the two
+inverse transforms the error test needs, a trial costs 8 real FFTs, and
+the accepted spectrum is the next step's start, so no accepted field is
+transformed forward again.  Every flow ends at the float time where the
+next one starts, so consecutive flows telescope over the clock's times.
 
 A symmetric composition of exact flows has an error expansion in odd
 powers of h only (McLachlan & Quispel, Acta Numerica 2002), so fine - full
@@ -29,12 +37,14 @@ has, so it costs no transform; the estimate is conservative for it.  The
 first step, from t0 = 0, keeps fine: there the forcing weight s^sigma is
 not smooth.  Hence the default tolerance DEFAULT_TOL_STEP = 1e-6.  On
 spatially uniform data the substep is exact and the estimate reads only
-roundoff, so steps there are limited by blow-up inside the substep.
+roundoff, so steps there are limited by blow-up inside the substep, and a
+linear forced run (nonlinear=False) is exact at any step.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from collections import deque
@@ -44,7 +54,7 @@ import numpy as np
 
 from .exponents import Params, derive
 from .field import Field, ForcingSpec, boundary_shell_fraction, lr_norm, norm_of_abs
-from .semigroup import Propagator
+from .semigroup import Propagator, forcing_multiplier
 
 _GROW_CAP = 4.0
 _SHRINK_FLOOR = 0.2
@@ -75,9 +85,12 @@ class SolveConfig:
 
     tol_step bounds the step-doubling estimate max|full - fine| / (1 +
     max|fine|) of each step.  The estimate is O(h^3), while every accepted
-    step after the first is extrapolated to 4th order; the reaction and
-    forcing substeps are exact flows, so only the splitting error is left
-    for the extrapolation to cancel (see the module docstring).
+    step after the first is extrapolated to 4th order; the linear forced
+    flow L and the reaction flow N are exact, so only the error of splitting
+    N from L is left for the extrapolation to cancel, and a linear forced
+    run takes steps of dt_max (see the module docstring).  A run that ends
+    at Umax reports t_star where sup^(1-p), linear in t between the last two
+    accepted steps, reaches Umax^(1-p).
     """
 
     params: Params
@@ -111,10 +124,10 @@ class SolveConfig:
 
 
 class Stepper:
-    """Strang-split stepper bound to one grid and parameter set.
+    """Split stepper bound to one grid and parameter set.
 
-    It works on half-spectra (`Propagator.to_spectrum`), so that the
-    diffusion substeps are multipliers and consecutive ones merge.
+    It works on half-spectra (`Propagator.to_spectrum`), where the linear
+    forced flow L is exact mode by mode and consecutive flows merge.
     """
 
     def __init__(self, grid, params, w_values=None, nonlinear=True):
@@ -122,15 +135,39 @@ class Stepper:
         self.prop = Propagator(grid)
         self.p = float(params.p)
         self.sigma = float(params.sigma)
-        self.w = None if w_values is None else np.ascontiguousarray(w_values).ravel()
         self.nl = bool(nonlinear)
+        self.w_hat = None
+        if w_values is not None:
+            self.w_hat = self.prop.to_spectrum(np.reshape(w_values, grid.shape))
+            # F(t) = int_0^t s^sigma e^{-(t-s)|xi|^2} ds per mode, with 1F1
+            # evaluated once per distinct |xi|^2; a trial needs F at five
+            # times and the next trial at its start again
+            xi2 = self.prop.xi2
+            levels, where = np.unique(xi2.ravel(), return_inverse=True)
+            where = where.reshape(xi2.shape)
+            self._forced_at = functools.lru_cache(maxsize=8)(
+                lambda t: forcing_multiplier(t, levels, self.sigma)[where])
 
-    def _kick(self, a, b):
-        """int_a^b s^sigma ds, without cancellation when b - a << a."""
+    def _phi(self, a, b):
+        """int_a^b s^sigma e^{-(b-s)|xi|^2} ds per mode: F(b) - e^{-(b-a)|xi|^2} F(a).
+
+        The zero mode, where that difference cancels when b - a << a, is
+        int_a^b s^sigma ds in closed form, exact at a = 0 too.
+        """
+        phi = self._forced_at(b) - self.prop.multiplier(b - a) * self._forced_at(a)
         s1 = self.sigma + 1.0
         if a == 0.0:
-            return b**s1 / s1
-        return a**s1 * math.expm1(s1 * math.log1p((b - a) / a)) / s1
+            phi.flat[0] = b**s1 / s1
+        else:
+            phi.flat[0] = a**s1 * math.expm1(s1 * math.log1p((b - a) / a)) / s1
+        return phi
+
+    def _linear(self, spec, a, b):
+        """L(a -> b), the exact flow of u' = Lap u + s^sigma w, in a new array."""
+        out = spec * self.prop.multiplier(b - a)
+        if self.w_hat is not None:
+            out += self.w_hat * self._phi(a, b)
+        return out
 
     def _flow(self, v, dt):
         """Exact flow of v' = |v|^p over dt, in a new array.
@@ -152,44 +189,28 @@ class Stepper:
             base *= v
         return base
 
-    def _react(self, flat, t0, dt):
-        """K(dt/2) N(dt) K(dt/2) over [t0, t0 + dt], without writing flat.
+    def step_values(self, spec, pre, h, post):
+        """L(post) F N(h) I L(pre) spec: the reaction flow between two linear flows.
 
-        K adds the exact integral of s^sigma w over a half step, between the
-        floating-point times the clock passes, and N is the exact reaction
-        flow (skipped when nonlinear is off).
+        pre and post are the (a, b) times of the flows L; pre None is the
+        identity.  N is skipped when the nonlinearity is off.  Raises
+        StepOverflow when the reaction blows up inside the step or its output
+        is not finite.
         """
-        if self.w is None:
-            return self._flow(flat, dt) if self.nl else flat
-        mid, end = t0 + 0.5 * dt, t0 + dt
-        v = self.w * self._kick(t0, mid)
-        v += flat
+        values = self.prop.from_spectrum(spec if pre is None else self._linear(spec, *pre))
         if self.nl:
-            v = self._flow(v, dt)
-        v += self.w * self._kick(mid, end)
-        return v
-
-    def step_values(self, spec, t0, dt, pre, post):
-        """post * F(R(I(pre * spec))) with R the reaction over [t0, t0 + dt].
-
-        pre and post are diffusion multipliers; pre None is the identity.
-        Raises StepOverflow when the reaction blows up inside the step or
-        its output is not finite.
-        """
-        values = self.prop.from_spectrum(spec if pre is None else spec * pre)
-        react = self._react(values.ravel(), t0, dt)
-        if not np.all(np.isfinite(react)):
-            raise StepOverflow(f"non-finite values at t = {t0}")
-        out = self.prop.to_spectrum(react.reshape(self.grid.shape))
-        out *= post
-        return out
+            values = self._flow(values, h)
+        if not np.all(np.isfinite(values)):
+            raise StepOverflow(f"non-finite values at t = {post[0]}")
+        return self._linear(self.prop.to_spectrum(values), *post)
 
     def trial(self, spec, t0, dt):
         """One step-doubling trial from spec: full and fine fields, then spectra."""
-        half, quarter = self.prop.multiplier(0.5 * dt), self.prop.multiplier(0.25 * dt)
-        full = self.step_values(spec, t0, dt, half, half)
-        mid = self.step_values(spec, t0, 0.5 * dt, quarter, half)
-        fine = self.step_values(mid, t0 + 0.5 * dt, 0.5 * dt, None, quarter)
+        mid, end = t0 + 0.5 * dt, t0 + dt
+        q1, q3 = t0 + 0.25 * dt, t0 + 0.75 * dt
+        full = self.step_values(spec, (t0, mid), dt, (mid, end))
+        half = self.step_values(spec, (t0, q1), 0.5 * dt, (q1, q3))
+        fine = self.step_values(half, None, 0.5 * dt, (q3, end))
         return self.prop.from_spectrum(full), self.prop.from_spectrum(fine), full, fine
 
 
@@ -204,16 +225,17 @@ def accepted_state(t0, full, fine):
 
 
 def step(u, t, dt, params, w=None, nonlinear=True):
-    """One Strang-split step of length dt starting at time t."""
+    """One split step L N L of length dt starting at time t."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     wv = None if w is None else w.profile.values
     if w is not None and w.profile.grid != u.grid:
         raise ValueError("forcing grid does not match field grid")
     stepper = Stepper(u.grid, params, wv, nonlinear)
-    half = stepper.prop.multiplier(0.5 * float(dt))
-    spec = stepper.step_values(stepper.prop.to_spectrum(u.values), float(t), float(dt),
-                               half, half)
+    t, dt = float(t), float(dt)
+    mid = t + 0.5 * dt
+    spec = stepper.step_values(stepper.prop.to_spectrum(u.values), (t, mid), dt,
+                               (mid, t + dt))
     return Field(u.grid, stepper.prop.from_spectrum(spec))
 
 
@@ -388,6 +410,19 @@ def run(start, w, cfg):
     ti = 0
     verdict, t_star = None, None
 
+    def umax_crossing():
+        """Where sup^(1-p), linear in t between the last two records, is Umax^(1-p).
+
+        Exact for the ODE blow-up profile, along which sup^(1-p) falls
+        linearly in t.
+        """
+        (t0, t1), (s0, s1) = times[-2:], linf_s[-2:]
+        if not s0 > 0.0:
+            return t1
+        e = 1.0 - stepper.p
+        y0, y1 = s0**e, s1**e
+        return t1 - (t1 - t0) * (cfg.Umax**e - y1) / (y0 - y1)
+
     def growth_verdict():
         grew = len(hist) >= 2 and hist[-1] > hist[0]
         return (Verdict.BLEW_UP, t) if grew else (Verdict.STALLED, None)
@@ -433,7 +468,7 @@ def run(start, w, cfg):
                     _GROW_CAP, max(_SHRINK_FLOOR, _SAFETY * (cfg.tol_step / err) ** (1.0 / 3.0))
                 )
             if linf >= cfg.Umax:
-                verdict, t_star = Verdict.BLEW_UP, t
+                verdict, t_star = Verdict.BLEW_UP, umax_crossing()
                 break
         if verdict is None and t >= target:
             if target in record_set:

@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .exponents import beta_rate, derive, picard_smallness
 from .field import Field, lr_norm, make_bump
-from .semigroup import Propagator
+from .semigroup import Propagator, forcing_multiplier
 
 
 def beta_function(a, b):
@@ -113,17 +112,6 @@ def _running_weights(count):
     w = np.where(np.arange(count) % 2 == 1, 4.0 / 3.0, 2.0 / 3.0)
     w[0] = 1.0 / 3.0
     return w
-
-
-def forcing_multiplier(t, xi2, sigma):
-    """int_0^t s^sigma exp(-(t-s) xi2) ds for sigma > -1, in closed form.
-
-    Substituting s = t u turns it into t^(sigma+1) times Kummer's integral,
-    t^(sigma+1)/(sigma+1) 1F1(1; sigma+2; -t xi2): the forcing term's Fourier
-    multiplier, exact for every mode however stiff.
-    """
-    s1 = sigma + 1.0
-    return t**s1 / s1 * hyp1f1(1.0, s1 + 1.0, -t * xi2)
 
 
 class SolutionMap:

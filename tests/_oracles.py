@@ -7,6 +7,7 @@ forms.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -168,27 +169,37 @@ def nonlinear_by_propagation(prop, times, p, u0_values, fields, j):
     return acc
 
 
-def strang_trial_by_propagation(stepper, values, t0, dt):
-    """One step-doubling trial of three physical Strang steps: (full, fine).
+def strang_trial_by_propagation(stepper, w_values, values, t0, dt):
+    """One step-doubling trial of three physical split steps L N L: (full, fine).
 
-    Each step diffuses by dt/2 through `Propagator.apply_values` (forward
-    and inverse transform), reacts with the stepper's reaction, and diffuses
-    by dt/2 again; the half steps are not merged and nothing stays in
+    L(a -> b) diffuses by b - a through `Propagator.apply_values` (forward
+    and inverse transform) and adds the forcing integral over [a, b] from
+    QUADPACK (`forcing_field_quad`), so no 1F1 is evaluated; N is the
+    stepper's reaction flow.  The steps use the trial's float times, the
+    inner flows of the half steps are not merged, and nothing stays in
     Fourier space.  Non-finite output raises StepOverflow.
     """
     from critex.evolve import StepOverflow
 
-    def strang(v, t, h):
-        half = stepper.prop.apply_values(v, 0.5 * h)
-        react = stepper._react(np.ascontiguousarray(half).ravel(), t, h)
-        out = stepper.prop.apply_values(react.reshape(stepper.grid.shape), 0.5 * h)
-        if not np.all(np.isfinite(out)):
-            raise StepOverflow(f"non-finite values at t = {t}")
+    def linear(v, a, b):
+        out = stepper.prop.apply_values(v, b - a)
+        if w_values is not None:
+            out = out + forcing_field_quad(stepper.prop, w_values, b, stepper.sigma, start=a)
         return out
 
-    full = strang(values, t0, dt)
-    mid = strang(values, t0, 0.5 * dt)
-    return full, strang(mid, t0 + 0.5 * dt, 0.5 * dt)
+    def split(v, a, m, b, h):
+        react = linear(v, a, m)
+        if stepper.nl:
+            react = stepper._flow(react, h)
+        out = linear(react, m, b)
+        if not np.all(np.isfinite(out)):
+            raise StepOverflow(f"non-finite values at t = {a}")
+        return out
+
+    mid, end = t0 + 0.5 * dt, t0 + dt
+    full = split(values, t0, mid, end, dt)
+    half = split(values, t0, t0 + 0.25 * dt, mid, 0.5 * dt)
+    return full, split(half, mid, t0 + 0.75 * dt, end, 0.5 * dt)
 
 
 def reaction_rk4_by_expression(kind, v, dt, p, c=None, t0=0.0, sigma=0.0, nl=1.0):
@@ -260,19 +271,24 @@ def forcing_multiplier_quad(t, xi2, sigma):
         return float(mpmath.quad(lambda s: s**sigma * mpmath.exp(-(t - s) * xi2), pts))
 
 
-def forcing_field_quad(prop, w_values, t, sigma):
-    """int_0^t s^sigma e^{(t-s)D} w ds with one QUADPACK integral per |xi|^2.
+def forcing_field_quad(prop, w_values, t, sigma, start=0.0):
+    """int_start^t s^sigma e^{(t-s)D} w ds with one QUADPACK integral per |xi|^2.
 
-    Each distinct |xi|^2 = a gets int_0^t (t - r)^sigma e^{-a r} dr with the
-    algebraic endpoint weight, independent of any closed form.
+    Each distinct |xi|^2 = a gets int_0^{t-start} (t - r)^sigma e^{-a r} dr,
+    with the algebraic endpoint weight when start = 0, independent of any
+    closed form.
     """
     xi2 = prop.xi2
     levels, where = np.unique(xi2, return_inverse=True)
-    mult = np.array([
-        quad(lambda r, a=a: math.exp(-a * r), 0.0, t, weight="alg", wvar=(0.0, sigma),
-             epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        for a in levels
-    ])
+
+    def one(a):
+        if start == 0.0:
+            return quad(lambda r: math.exp(-a * r), 0.0, t, weight="alg", wvar=(0.0, sigma),
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return quad(lambda r: (t - r) ** sigma * math.exp(-a * r), 0.0, t - start,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    mult = np.array([one(a) for a in levels])
     spec = np.fft.rfftn(w_values) * mult[where].reshape(xi2.shape)
     return np.fft.irfftn(spec, s=w_values.shape, axes=tuple(range(w_values.ndim)))
 
@@ -296,6 +312,73 @@ def certificate_space_factors_on_grid(w_values, grid, scale, pp, xi, mu_floor):
     dv = grid.cell_volume
     return (dv * float(np.sum(mu)), dv * float(np.sum(w_values * mu)),
             dv * float(np.sum(quot)))
+
+
+def spectral_laplacian(f):
+    """Laplacian of a field by Fourier differentiation."""
+    from critex.field import Field
+    from critex.semigroup import Propagator
+
+    return Field(f.grid, Propagator(f.grid).laplacian_values(f.values))
+
+
+def verify_contraction(prop, f, t, q):
+    """True iff the q-norm did not grow beyond roundoff under propagation."""
+    from critex.field import lr_norm
+
+    return lr_norm(prop.apply(f, t), q) <= lr_norm(f, q) * (1.0 + 1e-12)
+
+
+def presaturation_limit(grid):
+    """Largest time for which torus smoothing still mimics free space.
+
+    Beyond (L/8)^2 the kernel wraps around the box and the q -> r decay
+    ratios drift away from their free-space behavior.
+    """
+    return (grid.L / 8.0) ** 2
+
+
+@dataclass(frozen=True)
+class SmoothingReport:
+    """Observed q -> r smoothing ratios and their sup (the empirical constant).
+
+    Each sample is (t, ratio) with
+    ratio = ||e^{tD} phi||_r * t^{(N/2)(1/q - 1/r)} / ||phi||_q.
+    """
+
+    q: float
+    r: float
+    samples: tuple
+    c1_hat: float
+
+
+def estimate_smoothing_constant(grid, q, r, probes, times):
+    """Measure the smoothing ratio over probes and pre-saturation times."""
+    from critex.field import lr_norm
+    from critex.semigroup import Propagator
+
+    if not (1 <= q <= r):
+        raise ValueError(f"need 1 <= q <= r, got q={q}, r={r}")
+    tmax = presaturation_limit(grid)
+    times = [float(t) for t in times]
+    if any(t <= 0 for t in times):
+        raise ValueError("times must be positive")
+    if any(t > tmax * (1 + 1e-12) for t in times):
+        raise ValueError(
+            f"times beyond the pre-saturation range t <= (L/8)^2 = {tmax:.6g}"
+        )
+    prop = Propagator(grid)
+    exponent = (grid.N / 2.0) * (1.0 / q - (0.0 if r == math.inf else 1.0 / r))
+    samples = []
+    for probe in probes:
+        nq = lr_norm(probe, q)
+        if nq == 0.0:
+            raise ValueError("zero probe")
+        for t in times:
+            ratio = lr_norm(prop.apply(probe, t), r) * t**exponent / nq
+            samples.append((t, ratio))
+    c1_hat = max(s[1] for s in samples)
+    return SmoothingReport(q=float(q), r=float(r), samples=tuple(samples), c1_hat=c1_hat)
 
 
 # Frozen reference values (computed with the oracles above at build time and

@@ -29,6 +29,7 @@ from critex.semigroup import Propagator
 from _oracles import (
     BLOWUP_TIME_FORCED_SQRT,
     duhamel_forced_linear,
+    forcing_field_quad,
     ode_blowup_time,
     ode_value,
     strang_trial_by_propagation,
@@ -76,7 +77,7 @@ def test_reaction_flow_matches_mpmath_ode(p):
     v = np.array([0.8, -1.7])
     v_in = v.copy()
     dt = 0.25
-    got = stepper._react(v, 0.3, dt)
+    got = stepper._flow(v, dt)
     assert np.array_equal(v, v_in)
     pf = float(Fraction(p))
     with mpmath.workdps(20):
@@ -92,40 +93,56 @@ def test_reaction_flow_matches_mpmath_ode(p):
     ("0.5", 1e3, 1e-6),
 ])
 def test_forcing_kicks_match_mpmath_integral(sigma, t0, dt):
-    # nonlinearity off, v = 0: the substep is the two half-step kicks, which
-    # together are int s^sigma ds times w up to where the clock lands, the
-    # float t0 + dt; at s = 0 too, and without cancellation for dt << t0
+    # the forcing increment phi(a, b) = int_a^b s^sigma e^{-(b-s)|xi|^2} ds
+    # that the linear flow L(a -> b) adds per mode, between the float times
+    # the clock passes, against mpmath: the zero mode to 2e-15 relative, also
+    # for dt << t0 where F(b) - F(a) would cancel; every other mode within
+    # 1e-14 F(b), F(b) = phi(0, b)
     import mpmath
 
     g = small_grid()
-    w = np.linspace(-1.0, 2.0, g.size)
-    stepper = Stepper(g, Params(1, 2, sigma), w, nonlinear=False)
-    v = np.zeros(g.size)
-    got = stepper._react(v, t0, dt)
-    assert np.all(v == 0.0)
+    stepper = Stepper(g, Params(1, 2, sigma), np.linspace(-1.0, 2.0, g.size))
+    a, b = t0, t0 + dt
+    got = stepper._phi(a, b)
+    xi2 = stepper.prop.xi2
+    assert got.shape == xi2.shape and np.all(np.diff(xi2) > 0)
     sg = float(Fraction(sigma))
+
+    def integral(lo, x):
+        cuts = [b - c / x for c in (40, 10, 1) if x > 0 and lo < b - c / x]
+        return mpmath.quad(lambda s: s**sg * mpmath.exp(-(b - s) * x), [lo] + cuts + [b])
+
     with mpmath.workdps(30):
-        ref = float(mpmath.quad(lambda s: s**sg, [t0, mpmath.mpf(t0 + dt)]))
-    assert np.allclose(got, w * ref, rtol=2e-15, atol=0.0)
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        for phi, x in zip(got, xi2):
+            x = mpmath.mpf(x)
+            ref = float(integral(a, x))
+            if x == 0:
+                assert abs(phi - ref) <= 2e-15 * abs(ref), (phi, ref)
+            else:
+                assert abs(phi - ref) <= 1e-14 * float(integral(0, x)), (x, phi, ref)
 
 
 def test_forced_substep_is_a_strang_step():
-    # K(dt/2) N(dt) K(dt/2) against DOP853 on v' = |v|^p + t^sigma c: the
-    # local error of the symmetric composition falls as dt^3
+    # step() on spatially constant u and w: L reduces to the exact forcing
+    # integral of the zero mode, so L N L solves v' = |v|^p + t^sigma c up to
+    # the splitting error; against DOP853 the local error of the symmetric
+    # composition falls as dt^3, for both signs of v
     from scipy.integrate import solve_ivp
 
     g = small_grid()
-    c = np.linspace(0.2, 1.0, g.size)
     sigma, p, t0 = -0.4, 3.0, 0.5
-    stepper = Stepper(g, Params(1, 3, "-0.4"), c)
-    v = np.linspace(-0.5, 0.3, g.size)
-    errs = []
-    for dt in (0.04, 0.02, 0.01):
-        ref = solve_ivp(lambda t, y: np.abs(y) ** p + t**sigma * c, (t0, t0 + dt), v,
-                        method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
-        errs.append(np.max(np.abs(stepper._react(v, t0, dt) - ref)))
-    for coarse, finer in zip(errs, errs[1:]):
-        assert math.log2(coarse / finer) == pytest.approx(3.0, abs=0.3), errs
+    params = Params(1, 3, "-0.4")
+    for v0, c in ((-0.5, 0.2), (0.3, 1.0)):
+        w = ForcingSpec.from_profile(const_field(g, c))
+        errs = []
+        for dt in (0.04, 0.02, 0.01):
+            ref = solve_ivp(lambda t, y: np.abs(y) ** p + t**sigma * c, (t0, t0 + dt), [v0],
+                            method="DOP853", rtol=1e-13, atol=1e-15).y[0, -1]
+            errs.append(np.max(np.abs(step(const_field(g, v0), t0, dt, params, w).values
+                                      - ref)))
+        for coarse, finer in zip(errs, errs[1:]):
+            assert math.log2(coarse / finer) == pytest.approx(3.0, abs=0.3), (v0, errs)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -150,7 +167,11 @@ def test_blowup_inside_a_substep_raises(p, v0):
 @pytest.mark.parametrize("p", ["1.5", "2", "2.8", "3"])
 def test_uniform_blowup_time_is_the_umax_crossing(p):
     # v' = v^p from v0 = 1 crosses Umax at (1 - Umax^(1-p))/(p-1); uniform
-    # data have no splitting error, so t* is off only by the discrete crossing
+    # data have no splitting error, and sup^(1-p) is linear in t along the
+    # exact flow, so the interpolated crossing is exact up to roundoff.  For
+    # p = 2.8 and 3 the crossing lies within a few ulp of the blow-up time
+    # 1/(p-1), where no float clock time has sup >= Umax: those runs end on
+    # the step collapse, at the last accepted time, within a few dt_min
     g = small_grid()
     cfg = SolveConfig(params=Params(1, p, HALF), Tend=3.0)
     with warnings.catch_warnings():
@@ -159,7 +180,26 @@ def test_uniform_blowup_time_is_the_umax_crossing(p):
     pm1 = float(Fraction(p)) - 1.0
     crossing = (1.0 - cfg.Umax ** -pm1) / pm1
     assert traj.verdict is Verdict.BLEW_UP
-    assert abs(traj.t_star - crossing) <= 1e-4
+    if p in ("2.8", "3"):
+        assert traj.linf[-1] < cfg.Umax
+        assert 0.0 <= crossing - traj.t_star <= 10 * cfg.dt_min
+    else:
+        assert traj.linf[-1] >= cfg.Umax
+        assert abs(traj.t_star - crossing) <= 1e-12
+
+
+def test_umax_crossing_does_not_depend_on_tolerance():
+    # criterion 5's p = 1.5 data: the interpolated crossing of a run at the
+    # default tolerance agrees with a run at tol_step = 1e-9, although the
+    # last accepted steps of the two runs land at different times
+    g = Grid(2, 8.0, 64)
+    u0 = make_bump(g, "gaussian", scale=0.5, amplitude=2.0)
+    params = Params(2, Fraction(3, 2), HALF)
+    coarse = run(u0, None, SolveConfig(params=params, Tend=100.0))
+    fine = run(u0, None, SolveConfig(params=params, Tend=100.0, tol_step=1e-9))
+    assert coarse.verdict is fine.verdict is Verdict.BLEW_UP
+    assert coarse.times[-1] != fine.times[-1]
+    assert abs(coarse.t_star - fine.t_star) <= 1e-9
 
 
 def test_step_requires_positive_dt():
@@ -230,6 +270,32 @@ def test_pure_forcing_linear_mode():
     got = traj.snapshot_at(t_end).values
     ref = duhamel_forced_linear(Propagator(g), w_field.values, t_end, -0.5)
     assert np.max(np.abs(got - ref)) <= 1e-6
+
+
+def test_linear_forced_run_is_exact(monkeypatch):
+    # nonlinearity off, default tolerance: every substep is the exact flow
+    # L, so full and fine agree to roundoff, no trial is rejected, dt_max
+    # sets the step, and the result is the forcing integral from QUADPACK
+    g = Grid(1, 4.0, 64)
+    w_field = make_bump(g, "gaussian", scale=0.2, amplitude=1.0)
+    t_end = 0.5
+    cfg = SolveConfig(params=Params(1, 2, HALF), Tend=t_end, nonlinear=False,
+                      record_times=(t_end,))
+    trials = []
+    trial = Stepper.trial
+
+    def counted(self, spec, t0, dt):
+        trials.append(t0)
+        return trial(self, spec, t0, dt)
+
+    monkeypatch.setattr(Stepper, "trial", counted)
+    traj = run(Field(g, np.zeros(g.shape)), ForcingSpec.from_profile(w_field), cfg)
+    got = traj.snapshot_at(t_end).values
+    ref = forcing_field_quad(Propagator(g), w_field.values, t_end, -0.5)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    accepted = traj.times.size - 1
+    assert len(trials) == accepted
+    assert accepted <= math.ceil(t_end / cfg.effective_dt_max) + 10
 
 
 def test_heat_domination_comparison():
@@ -354,7 +420,8 @@ def test_spectral_trial_matches_propagation_oracle(sigma, t0, forced, nonlinear)
     spec = stepper.prop.to_spectrum(u0.values)
     for dt in (0.05, 0.2):
         full, fine, full_spec, fine_spec = stepper.trial(spec, t0, dt)
-        ref_full, ref_fine = strang_trial_by_propagation(stepper, u0.values, t0, dt)
+        ref_full, ref_fine = strang_trial_by_propagation(
+            stepper, w.values if forced else None, u0.values, t0, dt)
         scale = 1.0 + float(np.max(np.abs(ref_fine)))
         assert np.max(np.abs(full - ref_full)) <= 1e-13 * scale
         assert np.max(np.abs(fine - ref_fine)) <= 1e-13 * scale
@@ -408,20 +475,24 @@ def test_spectral_trial_overflow_raises():
     big = u0.values * 1e120
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(StepOverflow):
-            strang_trial_by_propagation(stepper, big, 0.3, 1.0)
+            strang_trial_by_propagation(stepper, w.values, big, 0.3, 1.0)
         with pytest.raises(StepOverflow):
             stepper.trial(stepper.prop.to_spectrum(big), 0.3, 1.0)
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.3])
 def test_step_is_one_propagated_strang_step(t0):
-    # step() is the oracle's full step, bit for bit
+    # step() is the full step of a trial, bit for bit, and the oracle's
+    # physical L N L step
     g, u0, w = _rough_data()
     params = Params(2, 3, HALF)
     got = step(u0, t0, 0.1, params, ForcingSpec.from_profile(w))
-    ref_full, _ = strang_trial_by_propagation(Stepper(g, params, w.values), u0.values,
-                                              t0, 0.1)
-    assert np.array_equal(got.values, ref_full)
+    stepper = Stepper(g, params, w.values)
+    full, _, _, _ = stepper.trial(stepper.prop.to_spectrum(u0.values), t0, 0.1)
+    assert np.array_equal(got.values, full)
+    ref_full, _ = strang_trial_by_propagation(stepper, w.values, u0.values, t0, 0.1)
+    scale = 1.0 + float(np.max(np.abs(ref_full)))
+    assert np.max(np.abs(got.values - ref_full)) <= 1e-13 * scale
 
 
 def test_recorded_norms_are_field_norms():

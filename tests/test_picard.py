@@ -11,14 +11,13 @@ from critex.picard import (
     SolutionMap,
     audit_estimates,
     beta_function,
-    forcing_multiplier,
     geometric_ladder,
     iterate_to_fixed_point,
     ladder_distance,
     measure_cstar,
     sup_smoothing_ratio,
 )
-from critex.semigroup import Propagator
+from critex.semigroup import Propagator, forcing_multiplier
 
 from _oracles import (
     beta_quadrature,

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from critex.field import Field, Grid, integral, lr_norm, make_bump
-from critex.semigroup import (
-    Propagator,
+from critex.semigroup import Propagator
+
+from _oracles import (
+    convolve_periodic,
     estimate_smoothing_constant,
+    oracle_convolve,
+    periodized_kernel_axis,
     presaturation_limit,
     spectral_laplacian,
     verify_contraction,
 )
-
-from _oracles import convolve_periodic, oracle_convolve, periodized_kernel_axis
 
 
 def unit_gaussian(grid, a, center=None):
