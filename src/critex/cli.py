@@ -312,12 +312,7 @@ def cmd_sweep(ns):
     _write_manifest(ns, "sweep", cfg, {})
     _write_text(ns, "phase.csv", sweep_mod.phase_csv(points))
     _write_text(ns, "phase.svg", sweep_mod.phase_svg(points, plan.N))
-    lines = ["sigma,p_star_theory,p_hat,note"]
-    for sigma in sorted(set(pt.sigma for pt in points)):
-        est = sweep_mod.estimate_boundary(points, sigma, plan.N)
-        ph = "" if est.p_hat is None else _fmt(est.p_hat)
-        lines.append(f"{_fmt(sigma)},{_fmt(est.p_star_theory)},{ph},{est.note}")
-    _write_text(ns, "boundaries.csv", "\n".join(lines) + "\n")
+    _write_text(ns, "boundaries.csv", sweep_mod.boundaries_csv(points, plan.N))
     for pt in points:
         tstar = _fmt(pt.t_star) if pt.t_star is not None else "-"
         print(f"p={pt.p:g} sigma={pt.sigma:g} scale={pt.scale:g} "
@@ -336,33 +331,32 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed-profile", default=None,
-                        help="field snapshot overriding the u0 profile")
-        sp.add_argument("--check", action="store_true",
-                        help="verify identities; nonzero exit on failure")
-
+    # each flag is registered only on the commands that read it
     sp = sub.add_parser("exponents", help="print the derived exponent table")
     sp.add_argument("-N", type=int, required=True)
     sp.add_argument("-p", "--p", required=True,
                     help="nonlinearity power; fractions like 5/3 are exact")
     sp.add_argument("--sigma", required=True,
                     help="forcing time power; use --sigma=-1/2 for fractions")
-    common(sp)
+    sp.add_argument("--check", action="store_true",
+                    help="verify identities; nonzero exit on failure")
+    sp.add_argument("--out", default=None, help="output directory")
     sp.set_defaults(func=cmd_exponents)
 
-    for name, func, extra in (
-        ("simulate", cmd_simulate, ()),
-        ("picard", cmd_picard, ()),
-        ("certificate", cmd_certificate, ()),
-        ("sweep", cmd_sweep, ("workers",)),
+    for name, func in (
+        ("simulate", cmd_simulate),
+        ("picard", cmd_picard),
+        ("certificate", cmd_certificate),
+        ("sweep", cmd_sweep),
     ):
         sp = sub.add_parser(name, help=f"run the {name} module from a config file")
         sp.add_argument("config", help="INI config file (a manifest also works)")
-        if "workers" in extra:
+        sp.add_argument("--out", default=None, help="output directory")
+        if name in ("simulate", "picard"):
+            sp.add_argument("--seed-profile", default=None,
+                            help="field snapshot overriding the u0 profile")
+        if name == "sweep":
             sp.add_argument("--workers", type=int, default=1)
-        common(sp)
         sp.set_defaults(func=func)
     return parser
 

@@ -53,8 +53,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exponents import Params, derive
-from .field import Field, ForcingSpec, boundary_shell_fraction, lr_norm, norm_of_abs
-from .semigroup import Propagator, forcing_multiplier
+from .field import Field, ForcingSpec, boundary_shell_fraction, norm_of_abs
+from .semigroup import Propagator
 
 _GROW_CAP = 4.0
 _SHRINK_FLOOR = 0.2
@@ -139,14 +139,10 @@ class Stepper:
         self.w_hat = None
         if w_values is not None:
             self.w_hat = self.prop.to_spectrum(np.reshape(w_values, grid.shape))
-            # F(t) = int_0^t s^sigma e^{-(t-s)|xi|^2} ds per mode, with 1F1
-            # evaluated once per distinct |xi|^2; a trial needs F at five
-            # times and the next trial at its start again
-            xi2 = self.prop.xi2
-            levels, where = np.unique(xi2.ravel(), return_inverse=True)
-            where = where.reshape(xi2.shape)
+            # F(t) = int_0^t s^sigma e^{-(t-s)|xi|^2} ds per mode; a trial
+            # needs F at five times and the next trial at its start again
             self._forced_at = functools.lru_cache(maxsize=8)(
-                lambda t: forcing_multiplier(t, levels, self.sigma)[where])
+                lambda t: self.prop.forcing_multiplier(t, self.sigma))
 
     def _phi(self, a, b):
         """int_a^b s^sigma e^{-(b-s)|xi|^2} ds per mode: F(b) - e^{-(b-a)|xi|^2} F(a).
@@ -222,21 +218,6 @@ def accepted_state(t0, full, fine):
     if t0 > 0.0:
         return fine + (fine - full) / 3.0
     return fine
-
-
-def step(u, t, dt, params, w=None, nonlinear=True):
-    """One split step L N L of length dt starting at time t."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    wv = None if w is None else w.profile.values
-    if w is not None and w.profile.grid != u.grid:
-        raise ValueError("forcing grid does not match field grid")
-    stepper = Stepper(u.grid, params, wv, nonlinear)
-    t, dt = float(t), float(dt)
-    mid = t + 0.5 * dt
-    spec = stepper.step_values(stepper.prop.to_spectrum(u.values), (t, mid), dt,
-                               (mid, t + dt))
-    return Field(u.grid, stepper.prop.from_spectrum(spec))
 
 
 @dataclass
@@ -499,23 +480,3 @@ def run(start, w, cfg):
         end=(EndState(t, Field(grid, v), spec, dt, hist, accepted, w)
              if verdict is Verdict.REACHED_HORIZON else None),
     )
-
-
-def weighted_norm_series(traj, beta, q):
-    """The series (t, t^beta * ||u(t)||_q) and its running supremum.
-
-    Reuses the recorded q-norms when q matches the trajectory's recorded
-    index; otherwise recomputes from snapshots (error if none exist).
-    """
-    if q == traj.q:
-        times = traj.times
-        base = traj.lq
-    else:
-        if not traj.snapshots:
-            raise ValueError(
-                f"q = {q} was not recorded and no snapshots are available"
-            )
-        times = np.array([ts for ts, _ in traj.snapshots])
-        base = np.array([lr_norm(f, q) for _, f in traj.snapshots])
-    weighted = np.where(times > 0, times**beta * base, base if beta == 0.0 else 0.0)
-    return times, weighted, np.maximum.accumulate(weighted)

@@ -92,10 +92,6 @@ class DerivedExponents:
     q_default: Fraction | None
     beta: Fraction | None
 
-    @property
-    def critical_is_finite(self):
-        return self.critical is not INF
-
 
 def critical_exponent(N, sigma):
     """Critical power separating forced blow-up from possible global existence.
@@ -246,43 +242,6 @@ def verify_scaling_identities(params, q):
         beta_p_below_one=beta * p < 1,
         q_above_p=q > p,
     )
-
-
-@dataclass(frozen=True)
-class LocalExistenceBudget:
-    """Sup-norm data size and the step of guaranteed local existence."""
-
-    delta_inf: float
-    T_guarantee: float
-
-
-def local_existence_time(delta_inf, params, rel_tol=1e-12):
-    """Largest T <= 1 with T^(sigma+1)/(sigma+1) + 2^p * delta_inf^(p-1) * T <= 1.
-
-    Solved by bisection; the left side is strictly increasing in T, so the
-    result is monotone nonincreasing in delta_inf.
-    """
-    if delta_inf < 0:
-        raise ValueError("delta_inf must be >= 0")
-    p = float(params.p)
-    s1 = float(params.sigma) + 1.0
-    coef = 2.0**p * delta_inf ** (p - 1.0) if delta_inf > 0 else 0.0
-
-    def budget(T):
-        return T**s1 / s1 + coef * T
-
-    if budget(1.0) <= 1.0:
-        T = 1.0
-    else:
-        lo_T, hi_T = 0.0, 1.0
-        while hi_T - lo_T > rel_tol * hi_T:
-            mid = 0.5 * (lo_T + hi_T)
-            if budget(mid) <= 1.0:
-                lo_T = mid
-            else:
-                hi_T = mid
-        T = lo_T
-    return LocalExistenceBudget(delta_inf=float(delta_inf), T_guarantee=T)
 
 
 def picard_smallness(params, q, cstar):

@@ -61,17 +61,6 @@ class Grid:
         return -self.L + self.h * np.arange(self.n)
 
     @cached_property
-    def r2(self):
-        """|x|^2 sampled on the grid (shape ``self.shape``)."""
-        ax2 = self.axis() ** 2
-        total = np.zeros(self.shape)
-        for a in range(self.N):
-            shp = [1] * self.N
-            shp[a] = self.n
-            total = total + ax2.reshape(shp)
-        return total
-
-    @cached_property
     def _face_masks(self):
         return {}
 
@@ -117,10 +106,6 @@ class Field:
 
     def scaled(self, factor):
         return Field(self.grid, self.values * float(factor))
-
-
-def zero_field(grid):
-    return Field(grid, np.zeros(grid.shape))
 
 
 def integral(f):
@@ -180,9 +165,6 @@ class ForcingSpec:
     @classmethod
     def from_profile(cls, profile):
         return cls(profile=profile, mass=integral(profile))
-
-    def scaled(self, factor):
-        return ForcingSpec(self.profile.scaled(factor), self.mass * float(factor))
 
 
 def make_bump(grid, kind, center=None, scale=1.0, amplitude=1.0):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .exponents import beta_rate, derive, picard_smallness
 from .field import Field, lr_norm, make_bump
-from .semigroup import Propagator, forcing_multiplier
+from .semigroup import Propagator
 
 
 def beta_function(a, b):
@@ -165,7 +165,7 @@ class SolutionMap:
             return [zero for _ in self.times]
         w_hat = self.prop.to_spectrum(self.w.profile.values)
         return [
-            self.prop.from_spectrum(w_hat * forcing_multiplier(t, self.prop.xi2, self.sigma))
+            self.prop.from_spectrum(w_hat * self.prop.forcing_multiplier(t, self.sigma))
             for t in self.times
         ]
 

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 from scipy.special import hyp1f1
 
-from .field import Field, lr_norm  # noqa: F401 - the benchmark tracer hooks lr_norm here
+from .field import lr_norm  # noqa: F401 - the benchmark tracer hooks lr_norm here
 
 
 class Propagator:
@@ -63,20 +63,21 @@ class Propagator:
         spec *= self.multiplier(t)
         return self.from_spectrum(spec)
 
-    def apply(self, f, t):
-        """Evolve a field by time t >= 0; t = 0 is the identity."""
-        if f.grid != self.grid:
-            raise ValueError("field grid does not match propagator grid")
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        if t == 0.0:
-            return f
-        return Field(self.grid, self.apply_values(f.values, t))
-
     def laplacian_values(self, values):
         spec = self.to_spectrum(values)
         spec *= -self._xi2
         return self.from_spectrum(spec)
+
+    @functools.cached_property
+    def _xi2_levels(self):
+        levels, where = np.unique(self._xi2.ravel(), return_inverse=True)
+        return levels, where.reshape(self._xi2.shape)
+
+    def forcing_multiplier(self, t, sigma):
+        """`forcing_multiplier` on the half-spectrum, with 1F1 evaluated once
+        per distinct |xi|^2 and expanded to the modes that share it."""
+        levels, where = self._xi2_levels
+        return forcing_multiplier(t, levels, sigma)[where]
 
 
 def forcing_multiplier(t, xi2, sigma):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,14 +292,46 @@ class BoundaryEstimate:
 
 def estimate_boundary(points, sigma, N):
     """Smallest p classified global at the smallest data scale for this sigma."""
-    if not any(pt.sigma == sigma for pt in points):
+    rows = [pt for pt in points if pt.sigma == sigma]
+    if not rows:
         raise ValueError(f"no points at sigma = {sigma}")
-    return _boundary_for(points, sigma, N)
+    smallest = min(pt.scale for pt in rows)
+    rows = [pt for pt in rows if pt.scale == smallest]
+    glob = sorted(pt.p for pt in rows if pt.verdict == GLOBAL_CANDIDATE)
+    blow = sorted(pt.p for pt in rows if pt.verdict == BLOWUP)
+    crit = critical_exponent(N, sigma) if sigma != 0 else math.inf
+    crit_f = math.inf if crit is math.inf else float(crit)
+    if not glob:
+        note = "Unbracketed: no global candidate"
+        if sigma > 0:
+            note += " (critical power is infinite)"
+        return BoundaryEstimate(sigma, None, crit_f, None, note)
+    p_hat = glob[0]
+    below = [p for p in blow if p < p_hat]
+    bracket = (max(below), p_hat) if below else None
+    note = "" if below else "Unbracketed: no blow-up below p_hat"
+    return BoundaryEstimate(sigma, p_hat, crit_f, bracket, note)
 
 
-def write_phase_csv(points, path):
-    with open(path, "w") as fh:
-        fh.write(phase_csv(points))
+def critical_limit_from_below(N):
+    """Limit of the critical power as sigma -> 0-: N/(N-2) for N >= 3, else inf."""
+    if N >= 3:
+        return N / (N - 2.0)
+    return math.inf
+
+
+def boundaries_csv(points, N):
+    """boundaries.csv: theory and observed critical power per sigma (p_hat is
+    never forced), closed by the limit of p* as sigma -> 0-, where it jumps to inf.
+    """
+    out = io.StringIO()
+    out.write("sigma,p_star_theory,p_hat,note\n")
+    for sigma in sorted({pt.sigma for pt in points}):
+        est = estimate_boundary(points, sigma, N)
+        ph = "" if est.p_hat is None else f"{est.p_hat:.17g}"
+        out.write(f"{sigma:.17g},{est.p_star_theory:.17g},{ph},{est.note}\n")
+    out.write(f"# limit_from_below,{critical_limit_from_below(N):.17g}\n")
+    return out.getvalue()
 
 
 def phase_csv(points):
@@ -407,70 +439,3 @@ def phase_svg(points, N, width=640, height=480):
         x0 += 150
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class DiscontinuityReport:
-    """Formula-side critical powers vs sweep estimates near sigma = 0."""
-
-    N: int
-    rows: list = dc_field(default_factory=list)  # (sigma, p_star, p_hat, note)
-    limit_from_below: float = math.nan
-    positive_side_infinite: bool = True
-
-    def table(self):
-        out = io.StringIO()
-        out.write("sigma,p_star_theory,p_hat,note\n")
-        for sigma, p_star, p_hat, note in self.rows:
-            ph = "" if p_hat is None else f"{p_hat:.17g}"
-            out.write(f"{sigma:.17g},{p_star:.17g},{ph},{note}\n")
-        return out.getvalue()
-
-
-def critical_limit_from_below(N):
-    """Limit of the critical power as sigma -> 0-: N/(N-2) for N >= 3, else inf."""
-    if N >= 3:
-        return N / (N - 2.0)
-    return math.inf
-
-
-def discontinuity_probe(plan, workers=1, points=None):
-    """Tabulate theory and sweep boundaries over the plan's sigma ladder.
-
-    The formula side is exact (limits evaluated from the closed form); the
-    empirical p_hat values are reported as observed, never forced.
-    """
-    if any(s == 0 for s in plan.sigma_values):
-        raise ValueError("sigma ladder must exclude 0")
-    if points is None:
-        points = execute(plan, workers=workers)
-    report = DiscontinuityReport(N=plan.N)
-    report.limit_from_below = critical_limit_from_below(plan.N)
-    for sigma in sorted({pt.sigma for pt in points}):
-        crit = critical_exponent(plan.N, sigma)
-        crit_f = math.inf if crit is math.inf else float(crit)
-        est = _boundary_for(points, sigma, plan.N)
-        report.rows.append((sigma, crit_f, est.p_hat, est.note))
-        if sigma > 0 and crit_f != math.inf:
-            report.positive_side_infinite = False
-    return report
-
-
-def _boundary_for(points, sigma, N):
-    rows = [pt for pt in points if pt.sigma == sigma]
-    smallest = min(pt.scale for pt in rows)
-    rows = [pt for pt in rows if pt.scale == smallest]
-    glob = sorted(pt.p for pt in rows if pt.verdict == GLOBAL_CANDIDATE)
-    blow = sorted(pt.p for pt in rows if pt.verdict == BLOWUP)
-    crit = critical_exponent(N, sigma) if sigma != 0 else math.inf
-    crit_f = math.inf if crit is math.inf else float(crit)
-    if not glob:
-        note = "Unbracketed: no global candidate"
-        if sigma > 0:
-            note += " (critical power is infinite)"
-        return BoundaryEstimate(sigma, None, crit_f, None, note)
-    p_hat = glob[0]
-    below = [p for p in blow if p < p_hat]
-    bracket = (max(below), p_hat) if below else None
-    note = "" if below else "Unbracketed: no blow-up below p_hat"
-    return BoundaryEstimate(sigma, p_hat, crit_f, bracket, note)

@@ -138,7 +138,7 @@ def convolve_periodic(values, kernel_axes, volume):
 
 def oracle_convolve(f, t):
     """Heat evolution of a Field by direct summation against the periodized
-    kernel: an FFT-free cross-check of Propagator.apply."""
+    kernel: an FFT-free cross-check of the spectral heat flow (`heat`)."""
     from critex.field import Field
 
     if t <= 0:
@@ -250,7 +250,7 @@ def smoothing_ratio_by_propagation(prop, probes, times, r_src, r_dst):
         if nsrc == 0.0:
             continue
         for t in times:
-            val = lr_norm(prop.apply(probe, float(t)), r_dst)
+            val = lr_norm(heat(prop, probe, float(t)), r_dst)
             best = max(best, val * float(t) ** exponent / nsrc)
     return best
 
@@ -304,7 +304,7 @@ def certificate_space_factors_on_grid(w_values, grid, scale, pp, xi, mu_floor):
     from critex.semigroup import Propagator
 
     p = pp / (pp - 1.0)
-    mu = xi(grid.r2 / scale) ** (2.0 * pp)
+    mu = xi(grid_r2(grid) / scale) ** (2.0 * pp)
     lap = Propagator(grid).laplacian_values(mu)
     quot = np.zeros_like(mu)
     mask = mu > mu_floor
@@ -312,6 +312,69 @@ def certificate_space_factors_on_grid(w_values, grid, scale, pp, xi, mu_floor):
     dv = grid.cell_volume
     return (dv * float(np.sum(mu)), dv * float(np.sum(w_values * mu)),
             dv * float(np.sum(quot)))
+
+
+def heat(prop, f, t):
+    """e^{tD} f for a Field: forward transform, damping multiplier, inverse.
+
+    t = 0 is the identity; a negative t or a field on another grid raises.
+    """
+    from critex.field import Field
+
+    if f.grid != prop.grid:
+        raise ValueError("field grid does not match propagator grid")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if t == 0.0:
+        return f
+    return Field(prop.grid, prop.from_spectrum(prop.to_spectrum(f.values) * prop.multiplier(t)))
+
+
+def grid_r2(grid):
+    """|x|^2 sampled on every grid point."""
+    ax2 = grid.axis() ** 2
+    total = np.zeros(grid.shape)
+    for a in range(grid.N):
+        shp = [1] * grid.N
+        shp[a] = grid.n
+        total = total + ax2.reshape(shp)
+    return total
+
+
+def step(u, t, dt, params, w=None, nonlinear=True):
+    """One split step L N L of length dt from time t: a trial's full step."""
+    from critex.evolve import Stepper
+    from critex.field import Field
+
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if w is not None and w.profile.grid != u.grid:
+        raise ValueError("forcing grid does not match field grid")
+    stepper = Stepper(u.grid, params, None if w is None else w.profile.values, nonlinear)
+    t, dt = float(t), float(dt)
+    mid = t + 0.5 * dt
+    spec = stepper.step_values(stepper.prop.to_spectrum(u.values), (t, mid), dt,
+                               (mid, t + dt))
+    return Field(u.grid, stepper.prop.from_spectrum(spec))
+
+
+def weighted_norm_series(traj, beta, q):
+    """The series (t, t^beta * ||u(t)||_q) of a trajectory and its running sup.
+
+    Reuses the recorded q-norms when q is the recorded index; otherwise
+    recomputes them from the snapshots (error if there are none).
+    """
+    from critex.field import lr_norm
+
+    if q == traj.q:
+        times, base = traj.times, traj.lq
+    else:
+        if not traj.snapshots:
+            raise ValueError(f"q = {q} was not recorded and no snapshots are available")
+        times = np.array([ts for ts, _ in traj.snapshots])
+        base = np.array([lr_norm(f, q) for _, f in traj.snapshots])
+    weighted = np.where(times > 0, times**beta * base, base if beta == 0.0 else 0.0)
+    return times, weighted, np.maximum.accumulate(weighted)
 
 
 def spectral_laplacian(f):
@@ -326,7 +389,7 @@ def verify_contraction(prop, f, t, q):
     """True iff the q-norm did not grow beyond roundoff under propagation."""
     from critex.field import lr_norm
 
-    return lr_norm(prop.apply(f, t), q) <= lr_norm(f, q) * (1.0 + 1e-12)
+    return lr_norm(heat(prop, f, t), q) <= lr_norm(f, q) * (1.0 + 1e-12)
 
 
 def presaturation_limit(grid):
@@ -375,7 +438,7 @@ def estimate_smoothing_constant(grid, q, r, probes, times):
         if nq == 0.0:
             raise ValueError("zero probe")
         for t in times:
-            ratio = lr_norm(prop.apply(probe, t), r) * t**exponent / nq
+            ratio = lr_norm(heat(prop, probe, t), r) * t**exponent / nq
             samples.append((t, ratio))
     c1_hat = max(s[1] for s in samples)
     return SmoothingReport(q=float(q), r=float(r), samples=tuple(samples), c1_hat=c1_hat)

@@ -15,7 +15,7 @@ import pytest
 
 from critex import certificate as cert
 from critex import picard
-from critex.evolve import SolveConfig, Verdict, run, weighted_norm_series
+from critex.evolve import SolveConfig, Verdict, run
 from critex.exponents import (
     Params,
     critical_exponent,
@@ -37,7 +37,7 @@ from critex.sweep import (
 )
 
 from conftest import record_criterion
-from _oracles import BLOWUP_TIME_FORCED_SQRT, ode_blowup_time
+from _oracles import BLOWUP_TIME_FORCED_SQRT, heat, ode_blowup_time, weighted_norm_series
 
 HALF = Fraction(-1, 2)
 UNIT_AMP_2D = (4.0 * math.pi * 0.5) ** -1  # mass-1 gaussian, a = 0.5, N = 2
@@ -78,7 +78,7 @@ def test_criterion_01_semigroup_exactness():
     g = Grid(2, 16.0, 128)
     f = unit_gaussian(g, 0.25)
     prop = Propagator(g)
-    out = prop.apply(f, 1.0)
+    out = heat(prop, f, 1.0)
     exact = unit_gaussian(g, 1.25)
     rel = float(np.max(np.abs(out.values - exact.values)) /
                 np.max(np.abs(exact.values)))
@@ -86,9 +86,9 @@ def test_criterion_01_semigroup_exactness():
     rng = np.random.default_rng(11)
     h = Field(g, rng.standard_normal(g.shape))
     law = float(np.max(np.abs(
-        prop.apply(prop.apply(h, 0.35), 0.4).values - prop.apply(h, 0.75).values
+        heat(prop, heat(prop, h, 0.35), 0.4).values - heat(prop, h, 0.75).values
     )))
-    mass = abs(integral(prop.apply(h, 1.3)) - integral(h))
+    mass = abs(integral(heat(prop, h, 1.3)) - integral(h))
     elapsed = time.perf_counter() - start
     ok = rel <= 1e-6 and law <= 1e-12 and mass <= 1e-12 and elapsed < 5.0
     record_criterion(1, ok,
@@ -104,7 +104,7 @@ def test_criterion_02_norm_contraction():
     for _ in range(100):
         f = Field(g, rng.standard_normal(g.shape))
         t = float(rng.uniform(0.01, 2.0))
-        out = prop.apply(f, t)
+        out = heat(prop, f, t)
         for q in (1, 2, math.inf):
             growth = lr_norm(out, q) / lr_norm(f, q) - 1.0
             worst = max(worst, growth)

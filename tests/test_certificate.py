@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from _oracles import certificate_space_factors_on_grid
+from _oracles import certificate_space_factors_on_grid, grid_r2
 from critex.certificate import (
     _MU_FLOOR,
     Shells,
@@ -94,7 +94,7 @@ def test_forcing_functional_scaling_and_threshold():
     # odd (mass-zero) forcing: space factor vanishes as T covers the support
     x = g.axis()
     odd_vals = np.sin(math.pi * x / g.L)[:, None] * np.exp(
-        -(g.r2) / 4.0
+        -grid_r2(g) / 4.0
     ) / (4.0 * math.pi)
     odd = ForcingSpec.from_profile(Field(g, odd_vals))
     assert abs(odd.mass) < 1e-12

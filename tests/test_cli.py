@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from critex.cli import main
 from critex.config import dump_config, parse_config, strip_meta
 
 SIMPLE_SIM = """\
@@ -107,6 +108,18 @@ def test_exponents_usage_errors():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "sweep.ini", "--check"],
+    ["certificate", "cert.ini", "--seed-profile", "seed.field"],
+    ["exponents", "-N", "3", "-p", "3", "--sigma", "-0.5", "--seed-profile", "seed.field"],
+])
+def test_flags_only_on_commands_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_simulate_constant_blowup(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(SIMPLE_SIM)
@@ -174,7 +187,8 @@ def test_sweep_cli_workers_identical(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
     assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
     assert (out1 / "phase.svg").exists()
-    assert (out1 / "boundaries.csv").exists()
+    boundaries = (out1 / "boundaries.csv").read_text().splitlines()
+    assert boundaries[-1] == "# limit_from_below,inf"  # N = 2
     assert "BlowUp" in (out1 / "phase.csv").read_text()
 
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +10,6 @@ from critex.exponents import (
     classify_regime,
     critical_exponent,
     derive,
-    local_existence_time,
     picard_smallness,
     q_window_discriminant,
     verify_scaling_identities,
@@ -108,27 +106,6 @@ def test_scaling_identities_window_edges():
         verify_scaling_identities(params, hi)
     with pytest.raises(ValueError):
         verify_scaling_identities(params, 100)
-
-
-def test_local_existence_time():
-    # delta = 0, sigma = -1/2: solve 2 sqrt(T) = 1
-    budget = local_existence_time(0.0, Params(2, 2, HALF))
-    assert budget.T_guarantee == pytest.approx(0.25, rel=1e-10)
-    # delta = 1, p = 2: solve 2 sqrt(T) + 4T = 1, root ((sqrt(5)-1)/4)^2
-    budget = local_existence_time(1.0, Params(2, 2, HALF))
-    exact = ((math.sqrt(5.0) - 1.0) / 4.0) ** 2
-    assert budget.T_guarantee == pytest.approx(exact, rel=1e-10)
-    # monotone nonincreasing in delta, and T -> 0 for huge data
-    last = math.inf
-    for delta in (0.0, 0.5, 1.0, 10.0, 1e6, 1e12):
-        T = local_existence_time(delta, Params(2, 2, HALF)).T_guarantee
-        assert T <= last * (1 + 1e-12)
-        last = T
-    assert last < 1e-10
-    # small positive sigma caps at 1
-    assert local_existence_time(0.0, Params(2, 2, Fraction(3, 1))).T_guarantee == 1.0
-    with pytest.raises(ValueError):
-        local_existence_time(-1.0, Params(2, 2, HALF))
 
 
 def test_picard_smallness():

@@ -164,8 +164,6 @@ def test_forcing_spec_mass_invariant():
     assert spec.mass == pytest.approx(integral(f), abs=1e-15)
     with pytest.raises(ValueError):
         ForcingSpec(profile=f, mass=spec.mass + 1e-3)
-    scaled = spec.scaled(0.5)
-    assert scaled.mass == pytest.approx(0.5 * spec.mass, rel=1e-12)
 
 
 def test_boundary_shell_fraction():

@@ -132,6 +132,15 @@ def test_forcing_multiplier_matches_mpmath(sigma):
             assert g_val == pytest.approx(ref, rel=1e-13, abs=0.0), (t, x)
 
 
+@pytest.mark.parametrize("N, n", [(2, 64), (3, 16)])
+def test_propagator_forcing_multiplier_is_per_mode_bitwise(N, n):
+    # 1F1 once per distinct |xi|^2, expanded: the same bits as every mode
+    prop = Propagator(Grid(N, 8.0, n))
+    for t, sigma in ((1e-3, -0.5), (2.0, 0.5)):
+        assert np.array_equal(prop.forcing_multiplier(t, sigma),
+                              forcing_multiplier(t, prop.xi2, sigma))
+
+
 @pytest.mark.parametrize("scale", [0.5, 0.2])
 def test_forcing_term_exact_on_rough_data(scale):
     # compact support makes the spectrum decay slowly, so modes with t|xi|^2

@@ -1,0 +1,57 @@
+"""Every definition in src/critex is used somewhere in src/critex.
+
+A function, class or method that only the tests call belongs in the tests
+(see tests/_oracles.py).  Uses are matched by name: a Name, an Attribute or
+an import alias anywhere in the package counts, whatever object it refers to.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "critex"
+
+# Kept only for perfbench, which times or records them (ROADMAP item 1).
+BENCHMARK_HELD = {
+    "kernels.backend_name",
+    "kernels.reaction_rk4_plain",
+    "kernels.reaction_rk4_forced",
+    "kernels.reaction_rk4_tau",
+    "semigroup.Propagator.apply_values",
+    "semigroup.Propagator.laplacian_values",
+}
+
+
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _definitions(module, tree):
+    for node in filter(_is_def, tree.body):
+        yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in filter(_is_def, node.body):
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _used_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def unused_definitions():
+    defs, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs.extend(_definitions(path.stem, tree))
+        used.update(_used_names(tree))
+    return {qual for qual, name in defs if name not in used}
+
+
+def test_every_definition_has_a_caller_in_src():
+    assert unused_definitions() == BENCHMARK_HELD

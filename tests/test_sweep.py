@@ -11,8 +11,8 @@ from critex.sweep import (
     BumpSpec,
     PhasePoint,
     SweepPlan,
+    boundaries_csv,
     critical_limit_from_below,
-    discontinuity_probe,
     estimate_boundary,
     execute,
     phase_csv,
@@ -216,17 +216,14 @@ def test_critical_limit_from_below():
     assert critical_limit_from_below(2) == math.inf
 
 
-def test_discontinuity_probe_with_precomputed_points():
+def test_boundaries_csv_with_precomputed_points():
     pts = synthetic_points() + [
         PhasePoint(2.0, 0.5, 0.5, BLOWUP, 1.0, "", "ForcedBlowUp", 100.0)
     ]
-    plan = tiny_plan(p_values=(1.5, 2.0, 2.5, 3.0, 3.5), sigma_values=(-0.5, 0.5))
-    rep = discontinuity_probe(plan, points=pts)
-    assert rep.positive_side_infinite
-    assert rep.limit_from_below == math.inf  # N = 2
-    sigmas = [row[0] for row in rep.rows]
-    assert sigmas == [-0.5, 0.5]
-    table = rep.table()
-    assert table.startswith("sigma,p_star_theory,p_hat,note")
-    with pytest.raises(ValueError, match="exclude 0"):
-        discontinuity_probe(tiny_plan(sigma_values=(0.0,)), points=pts)
+    lines = boundaries_csv(pts, 2).splitlines()
+    assert lines[0] == "sigma,p_star_theory,p_hat,note"
+    assert [row.split(",")[0] for row in lines[1:-1]] == ["-0.5", "0.5"]
+    assert lines[1] == "-0.5,3,3,"  # p* = 3 at N = 2, sigma = -1/2; bracketed
+    assert lines[2].split(",")[1:3] == ["inf", ""]  # sigma > 0: p* = inf
+    assert lines[-1] == "# limit_from_below,inf"  # N = 2
+    assert boundaries_csv(pts, 3).splitlines()[-1] == "# limit_from_below,3"
