@@ -29,7 +29,7 @@ from .exponents import (
     q_window_discriminant,
     verify_scaling_identities,
 )
-from .field import Field, ForcingSpec, field_fingerprint, read_snapshot, write_snapshot
+from .field import Field, ForcingSpec, Grid, data_profile, field_fingerprint, write_snapshot
 
 
 def _fmt(x):
@@ -132,43 +132,43 @@ def cmd_exponents(ns):
 # ----------------------------------------------------------------- simulate
 
 
-def _load_run_inputs(ns, cfg):
-    params = config_mod.params_from_config(cfg)
-    grid = config_mod.grid_from_config(cfg, params.N)
-    data = cfg.get("data", {})
-    seed = read_snapshot(ns.seed_profile) if ns.seed_profile else None
-    if seed is not None and seed.grid != grid:
-        raise config_mod.ConfigError("--seed-profile grid does not match [grid]")
-    u0 = config_mod.bump_from_config(data, "u0", grid, seed_profile=seed)
-    w_profile = config_mod.bump_from_config(data, "w", grid)
+def _read(ns, command):
+    """The parsed config file and its typed values for this command."""
+    cfg = config_mod.load_config(ns.config)
+    return cfg, config_mod.read(cfg, command)
+
+
+def _params_grid(values):
+    params = Params(**values["params"])
+    return params, Grid(N=params.N, **values["grid"])
+
+
+def _profile(values, prefix, grid, path=None):
+    """The [data] profile `<prefix>_*`; a path (--seed-profile) replaces its file or bump."""
+    args = {arg: v for (pre, arg), v in values["data"].items() if pre == prefix}
+    if path:
+        args["path"] = path
+    try:
+        return data_profile(grid, **args)
+    except ValueError as exc:
+        raise config_mod.ConfigError(f"invalid {prefix} profile: {exc}") from None
+
+
+def _run_inputs(ns, values):
+    """(params, u0, w) of a simulate or picard config; u0 = none is zero data."""
+    params, grid = _params_grid(values)
+    u0 = _profile(values, "u0", grid, ns.seed_profile)
     if u0 is None:
         u0 = Field(grid, np.zeros(grid.shape))
-    u0 = u0.scaled(config_mod.get_float(data, "u0_factor_value", default=1.0))
-    w = None
-    if w_profile is not None:
-        w_profile = w_profile.scaled(
-            config_mod.get_float(data, "w_factor_value", default=1.0))
-        w = ForcingSpec.from_profile(w_profile)
-    return params, grid, u0, w
+    w = _profile(values, "w", grid)
+    return params, u0, None if w is None else ForcingSpec.from_profile(w)
 
 
 def cmd_simulate(ns):
     try:
-        cfg = config_mod.load_config(ns.config)
-        params, grid, u0, w = _load_run_inputs(ns, cfg)
-        solve = cfg.get("solve", {})
-        run_cfg = evolve.SolveConfig(
-            params=params,
-            Tend=config_mod.get_float(solve, "Tend_time"),
-            dt0=config_mod.get_float(solve, "dt0_time", default=1e-4),
-            dt_min=config_mod.get_float(solve, "dt_min_time", default=1e-12),
-            dt_max=(config_mod.get_float(solve, "dt_max_time")
-                    if "dt_max_time" in solve else None),
-            Umax=config_mod.get_float(solve, "Umax_value", default=1e8),
-            tol_step=config_mod.get_float(solve, "tol_step", default=evolve.DEFAULT_TOL_STEP),
-            snapshot_every=config_mod.get_int(solve, "snapshot_every", default=0),
-            record_times=config_mod.get_floats(solve, "record_times_time", default=()),
-        )
+        cfg, values = _read(ns, "simulate")
+        params, u0, w = _run_inputs(ns, values)
+        run_cfg = evolve.SolveConfig(params=params, **values["solve"])
     except (config_mod.ConfigError, OSError, ValueError) as exc:
         _print_err(str(exc))
         return 2
@@ -200,25 +200,24 @@ def cmd_simulate(ns):
 # ------------------------------------------------------------------- picard
 
 
+def _pick(sec, *names):
+    """The values of sec among names; absent ones take the callee's default."""
+    return {name: sec[name] for name in names if name in sec}
+
+
 def cmd_picard(ns):
     try:
-        cfg = config_mod.load_config(ns.config)
-        params, grid, u0, w = _load_run_inputs(ns, cfg)
-        sec = cfg.get("picard", {})
-        tcap = config_mod.get_float(sec, "Tcap_time", default=10.0)
-        rungs = config_mod.get_int(sec, "rungs", default=64)
-        # absent keys take the defaults; present ones are validated as given
-        q = config_mod.get_float(sec, "q") if "q" in sec else None
-        delta = config_mod.get_float(sec, "delta_value") if "delta_value" in sec else None
-        max_iter = config_mod.get_int(sec, "max_iter", default=40)
-        tol = config_mod.get_float(sec, "tol", default=1e-9)
+        cfg, values = _read(ns, "picard")
+        params, u0, w = _run_inputs(ns, values)
     except (config_mod.ConfigError, OSError, ValueError) as exc:
         _print_err(str(exc))
         return 2
 
+    sec = values["picard"]
     try:
-        op = picard.SolutionMap(u0, w, params, q, picard.geometric_ladder(tcap, rungs))
-        sol, diag = picard.iterate_to_fixed_point(op, delta=delta, max_iter=max_iter, tol=tol)
+        times = picard.geometric_ladder(**_pick(sec, "tcap", "rungs"))
+        op = picard.SolutionMap(u0, w, params, sec.get("q"), times)
+        sol, diag = picard.iterate_to_fixed_point(op, **_pick(sec, "delta", "max_iter", "tol"))
         audit = picard.audit_estimates(sol, op)
     except ValueError as exc:
         _print_err(str(exc))
@@ -247,31 +246,25 @@ def cmd_picard(ns):
 
 def cmd_certificate(ns):
     try:
-        cfg = config_mod.load_config(ns.config)
-        params = config_mod.params_from_config(cfg)
-        grid = config_mod.grid_from_config(cfg, params.N)
-        data = cfg.get("data", {})
-        w_profile = config_mod.bump_from_config(data, "w", grid)
+        cfg, values = _read(ns, "certificate")
+        params, grid = _params_grid(values)
+        w_profile = _profile(values, "w", grid)
         if w_profile is None:
             raise config_mod.ConfigError("certificate needs a forcing profile")
-        w_profile = w_profile.scaled(
-            config_mod.get_float(data, "w_factor_value", default=1.0))
         w = ForcingSpec.from_profile(w_profile)
-        sec = cfg.get("certificate", {})
-        ladder = config_mod.get_floats(sec, "T_ladder_time")
-        R = config_mod.get_float(sec, "R_length") if "R_length" in sec else None
-        label = config_mod.get_str(sec, "cutoffs", default="default")
+        sec = dict(values["certificate"])
+        label = sec.pop("cutoffs", "default")
         makers = {"default": cert_mod.default_cutoffs, "steep": cert_mod.steep_cutoffs}
         if label not in makers:
             raise config_mod.ConfigError(
                 f"unknown cutoffs {label!r}; valid: {', '.join(makers)}")
         cutoffs = makers[label]()
-    except (config_mod.ConfigError, OSError, ValueError, KeyError) as exc:
+    except (config_mod.ConfigError, OSError, ValueError) as exc:
         _print_err(str(exc))
         return 2
 
     try:
-        report = cert_mod.blowup_certificate(w, params, cutoffs, ladder, R=R)
+        report = cert_mod.blowup_certificate(w, params, cutoffs, **sec)
     except ValueError as exc:
         _print_err(str(exc))
         return 2
@@ -287,23 +280,8 @@ def cmd_certificate(ns):
 
 def cmd_sweep(ns):
     try:
-        cfg = config_mod.load_config(ns.config)
-        sec = cfg.get("sweep", {})
-        grid_sec = cfg.get("grid", {})
-        plan = sweep_mod.SweepPlan(
-            N=config_mod.get_int(sec, "N"),
-            L=config_mod.get_float(grid_sec, "L_length"),
-            n=config_mod.get_int(grid_sec, "n"),
-            p_values=config_mod.get_floats(sec, "p_values"),
-            sigma_values=config_mod.get_floats(sec, "sigma_values"),
-            data_scales=config_mod.get_floats(sec, "data_scales", default=(1.0,)),
-            tend=config_mod.get_float(sec, "Tend_time", default=100.0),
-            tend_max=config_mod.get_float(sec, "Tend_max_time", default=1e4),
-            umax=config_mod.get_float(sec, "Umax_value", default=1e8),
-            tol_step=config_mod.get_float(sec, "tol_step", default=evolve.DEFAULT_TOL_STEP),
-            dt0=config_mod.get_float(sec, "dt0_time", default=1e-4),
-            budget_cstar=config_mod.get_float(sec, "budget_cstar", default=1.0),
-        )
+        cfg, values = _read(ns, "sweep")
+        plan = sweep_mod.SweepPlan(**values["grid"], **values["sweep"])
     except (config_mod.ConfigError, ValueError, OSError) as exc:
         _print_err(str(exc))
         return 2

@@ -5,6 +5,10 @@ Serialization is canonical (sections and keys in file order, `key = value`
 lines), so parse -> serialize -> parse is the identity on the records.
 Manifests reuse the same format: a config plus [run] and [fingerprints]
 sections, which readers ignore, so a manifest can be re-run directly.
+
+`read` checks a parsed config against the key table of one command and
+types its values.  Absent keys are left out, so the code that takes a value
+as a keyword argument also owns its default.
 """
 
 from __future__ import annotations
@@ -12,9 +16,6 @@ from __future__ import annotations
 import configparser
 import io
 from fractions import Fraction
-
-from .field import Grid, make_bump, read_snapshot
-from .exponents import Params
 
 _META_SECTIONS = ("run", "fingerprints")
 
@@ -60,110 +61,91 @@ def strip_meta(sections):
     return {k: dict(v) for k, v in sections.items() if k not in _META_SECTIONS}
 
 
-def _section(cfg, name):
-    if name not in cfg:
-        raise ConfigError(f"missing [{name}] section")
-    return cfg[name]
+def _number(raw):
+    return float(Fraction(raw))
 
 
-def get_str(sec, key, default=None):
-    if key in sec:
-        return sec[key]
-    if default is None:
-        raise ConfigError(f"missing key {key!r}")
-    return default
+def _numbers(raw):
+    return tuple(_number(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
-def get_float(sec, key, default=None):
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key {key!r}")
-        return default
-    try:
-        return float(Fraction(raw))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad numeric value {raw!r} for {key!r}") from None
+def _profile_keys(prefix):
+    """The [data] keys of one profile; argument names are (prefix, keyword)."""
+    return {f"{prefix}_{key}": ((prefix, arg), parse, False) for key, arg, parse in (
+        ("file", "path", str), ("kind", "kind", str), ("center", "center", _numbers),
+        ("scale_length2", "scale", _number), ("amplitude_value", "amplitude", _number),
+        ("factor_value", "factor", _number))}
 
 
-def get_int(sec, key, default=None):
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key {key!r}")
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"bad integer value {raw!r} for {key!r}") from None
+# section -> key -> (argument name, parser, required).  The argument names
+# are keywords of the code that takes the values and owns their defaults:
+# Params, Grid, field.data_profile, evolve.SolveConfig, picard's
+# geometric_ladder, SolutionMap and iterate_to_fixed_point,
+# certificate.blowup_certificate and sweep.SweepPlan ([grid] and [sweep]).
+KEYS = {
+    "params": {"N": ("N", int, True), "p": ("p", Fraction, True),
+               "sigma": ("sigma", Fraction, True)},
+    "grid": {"L_length": ("L", _number, True), "n": ("n", int, True)},
+    "data": {**_profile_keys("u0"), **_profile_keys("w")},
+    "solve": {
+        "Tend_time": ("Tend", _number, True), "dt0_time": ("dt0", _number, False),
+        "dt_min_time": ("dt_min", _number, False), "dt_max_time": ("dt_max", _number, False),
+        "Umax_value": ("Umax", _number, False), "tol_step": ("tol_step", _number, False),
+        "snapshot_every": ("snapshot_every", int, False),
+        "record_times_time": ("record_times", _numbers, False),
+    },
+    "picard": {
+        "Tcap_time": ("tcap", _number, False), "rungs": ("rungs", int, False),
+        "q": ("q", _number, False), "delta_value": ("delta", _number, False),
+        "max_iter": ("max_iter", int, False), "tol": ("tol", _number, False),
+    },
+    "certificate": {"T_ladder_time": ("T_ladder", _numbers, True),
+                    "R_length": ("R", _number, False), "cutoffs": ("cutoffs", str, False)},
+    "sweep": {
+        "N": ("N", int, True), "p_values": ("p_values", _numbers, True),
+        "sigma_values": ("sigma_values", _numbers, True),
+        "data_scales": ("data_scales", _numbers, False),
+        "Tend_time": ("tend", _number, False), "Tend_max_time": ("tend_max", _number, False),
+        "Umax_value": ("umax", _number, False), "tol_step": ("tol_step", _number, False),
+        "dt0_time": ("dt0", _number, False), "budget_cstar": ("budget_cstar", _number, False),
+    },
+}
+
+# command -> section -> key table; certificate builds no initial data, so
+# its [data] takes only the w keys
+COMMANDS = {
+    "simulate": {s: KEYS[s] for s in ("params", "grid", "data", "solve")},
+    "picard": {s: KEYS[s] for s in ("params", "grid", "data", "picard")},
+    "certificate": {**{s: KEYS[s] for s in ("params", "grid", "certificate")},
+                    "data": _profile_keys("w")},
+    "sweep": {s: KEYS[s] for s in ("grid", "sweep")},
+}
 
 
-def get_floats(sec, key, default=None):
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key {key!r}")
-        return default
-    try:
-        return tuple(float(Fraction(tok.strip())) for tok in raw.split(",") if tok.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad numeric list {raw!r} for {key!r}") from None
+def read(cfg, command):
+    """Typed values of a parsed config for one command: {section: {argument: value}}.
 
-
-def params_from_config(cfg):
-    sec = _section(cfg, "params")
-    try:
-        return Params(
-            N=get_int(sec, "N"),
-            p=Fraction(get_str(sec, "p")),
-            sigma=Fraction(get_str(sec, "sigma")),
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"invalid parameters: {exc}") from None
-
-
-def grid_from_config(cfg, N):
-    sec = _section(cfg, "grid")
-    try:
-        return Grid(N=N, L=get_float(sec, "L_length"), n=get_int(sec, "n"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from None
-
-
-def bump_from_config(sec, prefix, grid, seed_profile=None):
-    """Build one data profile from `<prefix>_*` keys (or a snapshot file).
-
-    Returns None when `<prefix>_kind = none`.
+    Every section the command reads is in the result, empty when absent.
+    [run] and [fingerprints] are skipped.  A section the command does not
+    read, a key that its section does not have, a missing required key or
+    an unparsable value raises ConfigError naming it.
     """
-    if seed_profile is not None:
-        return seed_profile
-    path = sec.get(f"{prefix}_file")
-    if path:
-        f = read_snapshot(path)
-        if f.grid != grid:
-            raise ConfigError(f"{prefix}_file grid does not match [grid]")
-        return f
-    kind = sec.get(f"{prefix}_kind", "gaussian")
-    if kind == "none":
-        return None
-    if kind == "constant":
-        import numpy as np
-
-        from .field import Field
-
-        amp = get_float(sec, f"{prefix}_amplitude_value", default=1.0)
-        return Field(grid, np.full(grid.shape, amp))
-    center = None
-    raw_center = sec.get(f"{prefix}_center")
-    if raw_center:
-        center = tuple(float(tok) for tok in raw_center.split(","))
-    try:
-        return make_bump(
-            grid,
-            kind,
-            center=center,
-            scale=get_float(sec, f"{prefix}_scale_length2", default=0.25),
-            amplitude=get_float(sec, f"{prefix}_amplitude_value", default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {prefix} profile: {exc}") from None
+    tables = COMMANDS[command]
+    values = {section: {} for section in tables}
+    for section, items in strip_meta(cfg).items():
+        if section not in tables:
+            raise ConfigError(f"{command} does not read a [{section}] section; "
+                              f"it reads {', '.join(f'[{s}]' for s in tables)}")
+        for key, raw in items.items():
+            if key not in tables[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}] for {command}")
+            arg, parse, _ = tables[section][key]
+            try:
+                values[section][arg] = parse(raw)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"bad value {raw!r} for {key!r} in [{section}]") from None
+    for section, table in tables.items():
+        for key, (_, _, required) in table.items():
+            if required and key not in cfg.get(section, {}):
+                raise ConfigError(f"missing key {key!r} in [{section}]")
+    return values

@@ -219,6 +219,35 @@ def make_bump(grid, kind, center=None, scale=1.0, amplitude=1.0):
     return Field(grid, vals)
 
 
+@dataclass(frozen=True)
+class BumpSpec:
+    """Recipe for a data profile: a make_bump kind, "constant" or "none" (no profile)."""
+
+    kind: str = "gaussian"
+    scale: float = 0.25
+    amplitude: float = 1.0
+    center: tuple | None = None
+
+    def build(self, grid):
+        if self.kind == "none":
+            return None
+        if self.kind == "constant":
+            return Field(grid, np.full(grid.shape, self.amplitude))
+        return make_bump(grid, self.kind, center=self.center, scale=self.scale,
+                         amplitude=self.amplitude)
+
+
+def data_profile(grid, path=None, factor=1.0, **bump):
+    """The snapshot at path, else BumpSpec(**bump).build(grid), scaled by factor.
+
+    None for kind "none".
+    """
+    f = read_snapshot(path) if path else BumpSpec(**bump).build(grid)
+    if path and f.grid != grid:
+        raise ValueError(f"snapshot {path} does not match the grid")
+    return None if f is None else f.scaled(factor)
+
+
 def write_snapshot(f, path):
     """Write a field as header line + row-major little-endian float64."""
     g = f.grid

@@ -37,11 +37,11 @@ def beta_function(a, b):
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def geometric_ladder(tcap=10.0, rungs=64, tmin_factor=1e-6):
-    """Geometric time ladder on (tmin, tcap] with tmin = tmin_factor * tcap."""
+def geometric_ladder(tcap=10.0, rungs=64):
+    """Geometric time ladder from 1e-6 * tcap to tcap."""
     if rungs < 2:
         raise ValueError("need at least 2 rungs")
-    return np.geomspace(tcap * tmin_factor, tcap, rungs)
+    return np.geomspace(tcap * 1e-6, tcap, rungs)
 
 
 @dataclass
@@ -214,10 +214,24 @@ class SolutionMap:
             fields.append(Field(self.grid, v))
         return u.replace_fields(fields)
 
-    def free_only(self, q=None, beta=None, delta=math.inf):
-        q = self.q if q is None else q
-        beta = beta_rate(self.params, q) if beta is None else beta
-        return LadderSolution(self.times, list(self.free), float(q), float(beta), delta)
+    def free_only(self, delta=math.inf):
+        beta = float(beta_rate(self.params, self.q))
+        return LadderSolution(self.times, list(self.free), self.q, beta, delta)
+
+
+def _bound_exponents(params, q):
+    """Indices and beta-function arguments of the map bound at q.
+
+    Returns (d, k, beta, nonlinear args, forcing args), where the nonlinear
+    term's beta function takes (1 - beta p, 1 - N(p-1)/(2q)) and the
+    forcing term's takes (sigma + 1, 1 - (N/2)(1/k - 1/q)).
+    """
+    der = derive(params)
+    p, sigma, N = float(params.p), float(params.sigma), params.N
+    d, k = float(der.data_index), float(der.forcing_index)
+    beta = float(beta_rate(params, q))
+    return (d, k, beta, (1.0 - beta * p, 1.0 - N * (p - 1.0) / (2.0 * q)),
+            (sigma + 1.0, 1.0 - (N / 2.0) * (1.0 / k - 1.0 / q)))
 
 
 def _check_q_in_window(params, q):
@@ -297,34 +311,25 @@ def sup_smoothing_ratio(prop, probes, times, r_src, r_dst):
     return best
 
 
-def measure_cstar(grid, params, q, tcap=10.0, probes=None, times=None):
-    """Empirical constant of the map bound on this grid.
+def measure_cstar(grid, params, q, tcap):
+    """Empirical constant of the map bound on this grid, for times up to tcap.
 
     Combines the three measured smoothing constants with the two beta-function
     factors; feeding it into the smallness thresholds is circular by
     construction (the constant is measured, not proved) and is reported as
     such.
     """
-    der = derive(params)
     _check_q_in_window(params, q)
     q = float(q)
     p = float(params.p)
-    sigma = float(params.sigma)
-    N = params.N
-    d = float(der.data_index)
-    k = float(der.forcing_index)
-    beta = float(beta_rate(params, q))
+    d, k, _, nl_args, frc_args = _bound_exponents(params, q)
     prop = Propagator(grid)
-    if probes is None:
-        probes = default_probe_set(grid)
-    if times is None:
-        times = np.geomspace(1e-6 * tcap, tcap, 48)
+    probes = default_probe_set(grid)
+    times = np.geomspace(1e-6 * tcap, tcap, 48)
     c_free = sup_smoothing_ratio(prop, probes, times, d, q)
     c_nl = sup_smoothing_ratio(prop, probes, times, q / p, q)
     c_frc = sup_smoothing_ratio(prop, probes, times, k, q)
-    b_nl = beta_function(1.0 - beta * p, 1.0 - N * (p - 1.0) / (2.0 * q))
-    b_frc = beta_function(sigma + 1.0, 1.0 - (N / 2.0) * (1.0 / k - 1.0 / q))
-    return max(c_free, c_nl * b_nl, c_frc * b_frc)
+    return max(c_free, c_nl * beta_function(*nl_args), c_frc * beta_function(*frc_args))
 
 
 def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
@@ -338,7 +343,6 @@ def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
     if delta is not None and not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     der = derive(params)
-    beta = float(beta_rate(params, q))
     if cstar is None:
         cstar = measure_cstar(op.grid, params, q, float(op.times[-1]))
     delta_max, budget = picard_smallness(params, q, cstar)
@@ -349,7 +353,7 @@ def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
     )
     outside = delta > delta_max or data_size > budget
 
-    u = op.free_only(q=q, beta=beta, delta=delta)
+    u = op.free_only(delta=delta)
     distances = []
     in_ball_all = u.in_ball
     converged = False
@@ -450,21 +454,12 @@ def audit_estimates(u, op):
     certifies that the inequalities hold with empirical constants.
     """
     params, u0, w = op.params, op.u0, op.w
-    der = derive(params)
     q = op.q
     p = float(params.p)
-    sigma = float(params.sigma)
-    N = params.N
-    d = float(der.data_index)
-    k = float(der.forcing_index)
-    beta = float(beta_rate(params, q))
+    d, k, beta, (a_nl, b_nl), (a_frc, b_frc) = _bound_exponents(params, q)
     if not u.in_ball:
         raise ValueError("ladder solution is outside its ball; bounds need delta")
 
-    a_nl = 1.0 - beta * p
-    b_nl = 1.0 - N * (p - 1.0) / (2.0 * q)
-    a_frc = sigma + 1.0
-    b_frc = 1.0 - (N / 2.0) * (1.0 / k - 1.0 / q)
     for name, val in (("1-beta*p", a_nl), ("1-N(p-1)/(2q)", b_nl),
                       ("sigma+1", a_frc), ("1-(N/2)(1/k-1/q)", b_frc)):
         if val <= 0:

@@ -16,11 +16,11 @@ from __future__ import annotations
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolve import DEFAULT_TOL_STEP, SolveConfig, StepOverflow, Verdict, run
+from .evolve import SolveConfig, StepOverflow, Verdict, run
 from .exponents import (
     Params,
     Regime,
@@ -29,25 +29,17 @@ from .exponents import (
     derive,
     picard_smallness,
 )
-from .field import ForcingSpec, Grid, lr_norm, make_bump
+from .field import BumpSpec, ForcingSpec, Grid, lr_norm
 
 BLOWUP = "BlowUp"
 GLOBAL_CANDIDATE = "GlobalCandidate"
 UNDETERMINED = "Undetermined"
 
-
-@dataclass(frozen=True)
-class BumpSpec:
-    """Recipe for a localized data profile (picklable, deterministic)."""
-
-    kind: str = "gaussian"
-    scale: float = 0.25
-    amplitude: float = 1.0
-    center: tuple | None = None
-
-    def build(self, grid):
-        return make_bump(grid, self.kind, center=self.center, scale=self.scale,
-                         amplitude=self.amplitude)
+# A run that reaches its horizon is a global candidate when the tail slope of
+# its mean-free weighted norm is at most TAIL_SLOPE_TOL and the mean's ODE
+# does not blow up within PROJECTION_MARGIN horizons.
+TAIL_SLOPE_TOL = 0.05
+PROJECTION_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -64,13 +56,10 @@ class SweepPlan:
     w_spec: BumpSpec = BumpSpec()
     tend: float = 100.0
     tend_max: float = 1e4
-    umax: float = 1e8
-    tol_step: float = DEFAULT_TOL_STEP
-    dt0: float = 1e-4
-    budget_scaled_data: bool = True
+    umax: float = SolveConfig.Umax
+    tol_step: float = SolveConfig.tol_step
+    dt0: float = SolveConfig.dt0
     budget_cstar: float = 1.0
-    tail_slope_tol: float = 0.05
-    projection_margin: float = 10.0
 
     def __post_init__(self):
         if not self.p_values or not self.sigma_values or not self.data_scales:
@@ -111,21 +100,20 @@ def _theory_label(params):
 
 
 def _job_data(plan, params, scale):
-    """Build (u0, w) for one job, optionally shrunk into the smallness budget."""
+    """Build (u0, w) for one job; supercritical data are shrunk into the smallness budget."""
     grid = plan.grid()
     u0 = plan.u0_spec.build(grid)
     w_profile = plan.w_spec.build(grid)
-    if plan.budget_scaled_data and params.sigma != 0:
-        if classify_regime(params) is Regime.SUPERCRITICAL_GLOBAL:
-            der = derive(params)
-            q = float(der.q_default)
-            _, budget = picard_smallness(params, q, plan.budget_cstar)
-            nd = lr_norm(u0, float(der.data_index))
-            nk = lr_norm(w_profile, float(der.forcing_index))
-            if nd > 0:
-                u0 = u0.scaled(0.25 * budget / nd)
-            if nk > 0:
-                w_profile = w_profile.scaled(0.25 * budget / nk)
+    if params.sigma != 0 and classify_regime(params) is Regime.SUPERCRITICAL_GLOBAL:
+        der = derive(params)
+        q = float(der.q_default)
+        _, budget = picard_smallness(params, q, plan.budget_cstar)
+        nd = lr_norm(u0, float(der.data_index))
+        nk = lr_norm(w_profile, float(der.forcing_index))
+        if nd > 0:
+            u0 = u0.scaled(0.25 * budget / nd)
+        if nk > 0:
+            w_profile = w_profile.scaled(0.25 * budget / nk)
     u0 = u0.scaled(scale)
     w_profile = w_profile.scaled(scale)
     return u0, ForcingSpec.from_profile(w_profile)
@@ -163,7 +151,7 @@ def _mean_ode_blowup(m0, wbar, sigma, p, t0, t_cap):
     return t
 
 
-def classify_run(traj, params, plan, tend, wbar=0.0):
+def classify_run(traj, params, tend, wbar=0.0):
     """Map one trajectory to (verdict, t_star, reason); may request escalation."""
     if traj.verdict is Verdict.BLEW_UP:
         return BLOWUP, traj.t_star, "sup-norm threshold"
@@ -172,10 +160,10 @@ def classify_run(traj, params, plan, tend, wbar=0.0):
     slope = _tail_slope(traj.times, traj.lq_fluct, tend / 10.0)
     final = traj.snapshot_at(traj.times[-1])
     mean = float(np.mean(final.values))
-    horizon = plan.projection_margin * tend
+    horizon = PROJECTION_MARGIN * tend
     proj = _mean_ode_blowup(mean, max(wbar, 0.0), float(params.sigma),
                             float(params.p), tend, horizon)
-    if slope <= plan.tail_slope_tol and proj >= horizon:
+    if slope <= TAIL_SLOPE_TOL and proj >= horizon:
         return GLOBAL_CANDIDATE, None, f"tail slope {slope:.3g}"
     return None, None, f"tail slope {slope:.3g}, projected blow-up {proj:.3g}"
 
@@ -203,7 +191,7 @@ def _run_job(plan, job):
                 record_times=(tend,),
             )
             traj = run(start, w, cfg)
-            verdict, t_star, reason = classify_run(traj, params, plan, tend, wbar)
+            verdict, t_star, reason = classify_run(traj, params, tend, wbar)
             if verdict is not None:
                 return PhasePoint(p, sigma, scale, verdict, t_star, reason,
                                   theory, tend)
@@ -259,7 +247,7 @@ def _repair_p_monotonicity(plan, points):
             if pt.verdict != GLOBAL_CANDIDATE or pt.p >= top_blow:
                 continue
             retry = _run_job(
-                _with_tend(plan, min(2.0 * pt.tend_used, plan.tend_max)),
+                replace(plan, tend=min(2.0 * pt.tend_used, plan.tend_max)),
                 (pt.sigma, pt.p, pt.scale),
             )
             if retry.verdict == BLOWUP:
@@ -271,12 +259,6 @@ def _repair_p_monotonicity(plan, points):
                     f"retried to Tend={retry.tend_used:g}",
                     pt.theory, retry.tend_used)
     return out
-
-
-def _with_tend(plan, tend):
-    from dataclasses import replace
-
-    return replace(plan, tend=tend)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,11 @@ from critex.exponents import (
     q_window_discriminant,
     verify_scaling_identities,
 )
-from critex.field import Field, ForcingSpec, Grid, integral, lr_norm, make_bump
+from critex.field import BumpSpec, Field, ForcingSpec, Grid, integral, lr_norm, make_bump
 from critex.semigroup import Propagator
 from critex.sweep import (
     BLOWUP,
     GLOBAL_CANDIDATE,
-    BumpSpec,
     SweepPlan,
     estimate_boundary,
     execute,
@@ -66,7 +65,7 @@ SUPER_Q = 6.0
 @pytest.fixture(scope="module")
 def super_setup():
     grid = Grid(2, 8.0, 64)
-    cstar = picard.measure_cstar(grid, SUPER_PARAMS, SUPER_Q)
+    cstar = picard.measure_cstar(grid, SUPER_PARAMS, SUPER_Q, 10.0)
     delta_max, budget = picard_smallness(SUPER_PARAMS, SUPER_Q, cstar)
     u0, w = budget_data(grid, SUPER_PARAMS, SUPER_Q, cstar)
     return {"grid": grid, "cstar": cstar, "delta_max": delta_max,

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from critex import cli
 from critex.cli import main
 from critex.config import dump_config, parse_config, strip_meta
 
@@ -274,6 +275,23 @@ def test_certificate_unknown_cutoffs_rejected(tmp_path):
     assert "default" in res.stderr and "steep" in res.stderr
 
 
+def test_certificate_builds_only_the_forcing(tmp_path, monkeypatch, capsys):
+    # an absent u0 would default to a full-grid Gaussian the certificate never reads
+    built = []
+
+    def recording(grid, **args):
+        built.append(args)
+        return real(grid, **args)
+
+    real = cli.data_profile
+    monkeypatch.setattr(cli, "data_profile", recording)
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(CERT_CFG)
+    assert main(["certificate", str(cfg)]) == 0
+    assert built == [{"kind": "gaussian", "scale": 0.25,
+                      "amplitude": 0.3183098861837907}]
+
+
 def test_seed_profile_override(tmp_path):
     import numpy as np
     from critex.field import Field, Grid, write_snapshot
@@ -288,3 +306,22 @@ def test_seed_profile_override(tmp_path):
     # u0 = 0.5 constant, p = 2: blow-up at t = 2 > Tend... exactly at horizon
     assert res.returncode in (0, 3)
     assert "verdict" in res.stdout
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("simulate", SIMPLE_SIM + "tol_stp = 1e-7\n", "'tol_stp'"),
+    ("picard", PICARD_CFG.replace("w_amplitude_value", "w_amplitude_vlaue"),
+     "'w_amplitude_vlaue'"),
+    ("sweep", SWEEP_CFG + "\n[data]\nu0_kind = gaussian\n", "[data]"),
+    ("certificate", CERT_CFG.replace("[certificate]", "u0_kind = gaussian\n[certificate]"),
+     "'u0_kind'"),
+    ("simulate", SIMPLE_SIM + "\n[sweep]\nN = 1\n", "[sweep]"),
+    ("simulate", SIMPLE_SIM.replace("Tend_time = 2.0\n", ""), "'Tend_time'"),
+], ids=["solve-typo", "data-typo", "sweep-data-section", "certificate-u0-key",
+        "simulate-sweep-section", "missing-Tend"])
+def test_config_mistakes_exit_2(tmp_path, capsys, command, text, named):
+    # a typo must not run the experiment on a silent default
+    cfg = tmp_path / "mistake.ini"
+    cfg.write_text(text)
+    assert main([command, str(cfg)]) == 2
+    assert named in capsys.readouterr().err

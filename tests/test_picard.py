@@ -35,7 +35,7 @@ Q = 6.0
 
 def budget_data(grid, params=PARAMS, q=Q, cstar=None, fraction=0.25):
     der = derive(params)
-    cstar = cstar if cstar is not None else measure_cstar(grid, params, q)
+    cstar = cstar if cstar is not None else measure_cstar(grid, params, q, 10.0)
     _, budget = picard_smallness(params, q, cstar)
     u0 = make_bump(grid, "gaussian", scale=0.25, amplitude=1.0)
     w_prof = make_bump(grid, "gaussian", scale=0.25, amplitude=1.0)

@@ -4,11 +4,11 @@ import pytest
 
 from critex import evolve, sweep
 from critex.exponents import Params
+from critex.field import BumpSpec
 from critex.sweep import (
     BLOWUP,
     GLOBAL_CANDIDATE,
     UNDETERMINED,
-    BumpSpec,
     PhasePoint,
     SweepPlan,
     boundaries_csv,
@@ -59,7 +59,6 @@ def test_zero_data_is_global():
         p_values=(2.0,),
         u0_spec=BumpSpec("gaussian", 0.5, 0.0),
         w_spec=BumpSpec("gaussian", 0.5, 0.0),
-        budget_scaled_data=False,
         tend=10.0,
     )
     pts = execute(plan)
