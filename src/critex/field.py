@@ -240,12 +240,12 @@ class BumpSpec:
 def data_profile(grid, path=None, factor=1.0, **bump):
     """The snapshot at path, else BumpSpec(**bump).build(grid), scaled by factor.
 
-    None for kind "none".
+    None for kind "none".  At factor 1.0 the field is returned as built or read.
     """
     f = read_snapshot(path) if path else BumpSpec(**bump).build(grid)
     if path and f.grid != grid:
         raise ValueError(f"snapshot {path} does not match the grid")
-    return None if f is None else f.scaled(factor)
+    return f if f is None or factor == 1.0 else f.scaled(factor)
 
 
 def write_snapshot(f, path):

@@ -16,7 +16,9 @@ from critex.certificate import (
     build_mu_fixed,
     default_cutoffs,
     steep_cutoffs,
+    time_factor_dissipation,
     time_factor_forcing,
+    time_factor_plain,
     young_constant,
 )
 from critex.exponents import Params
@@ -44,22 +46,22 @@ def test_cutoff_shapes():
     assert np.all(ev >= 0.0)
     assert ev[s <= 0.0].max() == 0.0 and ev[s >= 1.0].max() == 0.0
     assert ev.max() > 0.0
-    assert eta(0.0) == 0.0 and eta(1.0) == 0.0
+    assert np.all(eta(np.array([0.0, 1.0])) == 0.0)
     # derivative consistent with finite differences at interior points
     h = 1e-6
-    for s0 in (0.2, 0.5, 0.8):
-        fd = (eta(s0 + h) - eta(s0 - h)) / (2 * h)
-        assert CUT.eta_d(s0) == pytest.approx(fd, rel=1e-6)
+    s0 = np.array([0.2, 0.5, 0.8])
+    fd = (eta(s0 + h) - eta(s0 - h)) / (2 * h)
+    assert CUT.eta_d(s0) == pytest.approx(fd, rel=1e-6)
 
 
 def test_phi_vanishes_at_time_zero():
+    # phi(t, x) = eta(t/T)^{p'} mu(x): the time profile vanishes at t = 0 and T
+    assert np.all(CUT.eta(np.array([0.0, 16.0]) / 16.0) == 0.0)
     shells = Shells.of(Grid(2, 16.0, 128))
-    phi = build_phi(16.0, Params(2, 2, HALF), CUT, shells)
-    assert phi.time_profile(0.0) == 0.0
-    assert phi.time_profile(16.0) == 0.0
+    mu = build_phi(16.0, Params(2, 2, HALF), CUT, shells)
     # spatial factor is exactly 1 on |x|^2 <= T
     inside = shells.r2 <= 16.0
-    assert np.all(phi.mu.values[inside] == 1.0)
+    assert np.all(mu.values[inside] == 1.0)
 
 
 def test_box_too_small_rejected():
@@ -73,8 +75,8 @@ def test_box_too_small_rejected():
 def test_mu_integral_scales_as_half_dimension():
     shells = Shells.of(Grid(2, 16.0, 512))
     params = Params(2, 2, HALF)
-    c16 = build_phi(16.0, params, CUT, shells).mu.integral() / 16.0
-    c64 = build_phi(64.0, params, CUT, shells).mu.integral() / 64.0
+    c16 = build_phi(16.0, params, CUT, shells).integral() / 16.0
+    c64 = build_phi(64.0, params, CUT, shells).integral() / 64.0
     assert abs(c16 - c64) / c64 < 1e-6
 
 
@@ -159,7 +161,7 @@ def test_radial_laplacian_matches_mpmath(cut, k, N, n):
     assert shoulder.size > 20
     for p in (Fraction(3, 2), Fraction(5, 2)):
         a = 2.0 * float(p / (p - 1))
-        mu = build_phi(T, Params(N, p, HALF), cut, shells).mu
+        mu = build_phi(T, Params(N, p, HALF), cut, shells)
         with mpmath.workdps(120):
             def radial(r):
                 return _xi_power_mp(r * r / T, k, a)
@@ -178,7 +180,7 @@ def test_space_factors_match_grid_oracle(cut):
     shells = Shells.of(g)
     params = Params(2, Fraction(5, 2), HALF)
     T = 128.0
-    mu = build_phi(T, params, cut, shells).mu
+    mu = build_phi(T, params, cut, shells)
     for w in (make_bump(g, "gaussian", scale=0.25),
               make_bump(g, "compact_bump", scale=3.0)):
         mu_int, forcing, diss = certificate_space_factors_on_grid(
@@ -276,4 +278,51 @@ def test_young_constant_and_time_factor():
     with pytest.raises(ValueError, match="degenerate"):
         bad = dataclasses.replace(
             zero_cut, eta=lambda s: np.zeros_like(np.asarray(s, dtype=float)), label="zero")
-        blowup_certificate(unit_mass_forcing(g), Params(2, 2, HALF), bad, [16.0])
+        blowup_certificate(unit_mass_forcing(g), Params(2, 2, HALF), bad, [16.0, 32.0])
+
+
+def _time_factor_mp(factor, power, p, sigma):
+    """A time factor at 40 digits, tanh-sinh on 256 subintervals of (0, 1).
+
+    With g = s(1-s): eta^{p'} = exp(-p'/g^power) and
+    |eta'|^{p'} = eta^{p'} (power |1-2s| / g^(power+1))^{p'}.  On 64
+    subintervals the steep p = 1.05 dissipation factor (3.8e-99) is itself
+    off by 9.4e-10.
+    """
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p.numerator) / p.denominator
+        sigma = mpmath.mpf(sigma.numerator) / sigma.denominator
+        pp = p / (p - 1)
+        scale = pp**pp
+
+        def integrand(s):
+            g = s * (1 - s)
+            eta_pp = mpmath.exp(-pp / g**power)
+            if factor == "dissipation":
+                return scale * eta_pp * (power * abs(1 - 2 * s) / g ** (power + 1)) ** pp
+            return s**sigma * eta_pp if factor == "forcing" else eta_pp
+
+        return mpmath.quad(integrand, mpmath.linspace(0, 1, 257))
+
+
+TIME_FACTORS = {"forcing": time_factor_forcing, "plain": time_factor_plain,
+                "dissipation": time_factor_dissipation}
+
+
+# p = 3 (p' = 3/2) puts the kink of |eta'|^{p'} at s = 1/2 in the dissipation
+# factor, p = 2 gives p' = 2, and p = 1.05 gives the tiniest factors
+@pytest.mark.parametrize("factor, cut, power, p, sigma", [
+    ("dissipation", steep_cutoffs(), 2, Fraction(21, 20), HALF),
+    ("dissipation", steep_cutoffs(), 2, Fraction(2), HALF),
+    ("dissipation", default_cutoffs(), 1, Fraction(3), HALF),
+    ("dissipation", steep_cutoffs(), 2, Fraction(3), HALF),
+    ("forcing", steep_cutoffs(), 2, Fraction(21, 20), Fraction(-9, 10)),
+    ("forcing", default_cutoffs(), 1, Fraction(3, 2), Fraction(-9, 10)),
+    ("forcing", default_cutoffs(), 1, Fraction(21, 20), Fraction(1, 2)),
+    ("plain", default_cutoffs(), 1, Fraction(21, 20), HALF),
+    ("plain", steep_cutoffs(), 2, Fraction(3, 2), HALF),
+], ids=lambda v: getattr(v, "label", str(v)))
+def test_time_factors_match_mpmath(factor, cut, power, p, sigma):
+    got = TIME_FACTORS[factor](Params(2, p, sigma), cut)
+    ref = _time_factor_mp(factor, power, p, sigma)
+    assert abs(got - ref) <= 1e-12 * abs(ref), (got, float(ref))

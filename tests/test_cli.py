@@ -275,6 +275,18 @@ def test_certificate_unknown_cutoffs_rejected(tmp_path):
     assert "default" in res.stderr and "steep" in res.stderr
 
 
+@pytest.mark.parametrize("ladder, message", [("16", "two distinct"),
+                                             ("16, 16", "two distinct"),
+                                             ("0, 16", "must be positive")])
+def test_certificate_degenerate_ladder_rejected(tmp_path, ladder, message):
+    # one distinct T leaves no slope to fit, so no verdict can be made
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(CERT_CFG.replace("T_ladder_time = 8,16,32,64", f"T_ladder_time = {ladder}"))
+    res = run_cli(["certificate", str(cfg)])
+    assert res.returncode == 2, res.stdout
+    assert message in res.stderr
+
+
 def test_certificate_builds_only_the_forcing(tmp_path, monkeypatch, capsys):
     # an absent u0 would default to a full-grid Gaussian the certificate never reads
     built = []

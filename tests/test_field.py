@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import critex.field as field_mod
 from critex.field import (
     Field,
     ForcingSpec,
     Grid,
     boundary_shell_fraction,
+    data_profile,
     field_fingerprint,
     integral,
     lr_norm,
@@ -211,6 +213,16 @@ def test_snapshot_roundtrip(tmp_path, rng):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_snapshot(path)
+
+
+def test_data_profile_copies_only_to_scale(monkeypatch, rng):
+    g = Grid(2, 5.0, 16)
+    f = Field(g, rng.standard_normal(g.shape))
+    monkeypatch.setattr(field_mod, "read_snapshot", lambda path: f)
+    assert data_profile(g, path="f.field") is f
+    assert np.array_equal(data_profile(g, path="f.field", factor=0.5).values,
+                          0.5 * f.values)
+    assert data_profile(g, kind="none") is None
 
 
 @pytest.mark.parametrize("N, n", [(1, 16), (2, 16), (3, 8)])

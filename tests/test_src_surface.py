@@ -3,6 +3,9 @@
 A function, class or method that only the tests call belongs in the tests
 (see tests/_oracles.py).  Uses are matched by name: a Name, an Attribute or
 an import alias anywhere in the package counts, whatever object it refers to.
+
+The package also keeps to one numeric backend: numpy, with scipy imported only
+for scipy.special.
 """
 
 import ast
@@ -55,3 +58,24 @@ def unused_definitions():
 
 def test_every_definition_has_a_caller_in_src():
     assert unused_definitions() == BENCHMARK_HELD
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "scipy":
+                yield from (f"scipy.{alias.name}" for alias in node.names)
+            else:
+                yield node.module
+
+
+def test_scipy_only_for_special_functions():
+    # one numeric backend: scipy.special (hyp1f1) is the only scipy module in src
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update(name for name in _imported_modules(tree)
+                     if name.split(".")[0] == "scipy")
+    assert found <= {"scipy.special"}, found
