@@ -17,6 +17,7 @@ from critex.picard import (
     measure_cstar,
     sup_smoothing_ratio,
 )
+from critex import semigroup
 from critex.semigroup import Propagator, forcing_multiplier
 
 from _oracles import (
@@ -132,6 +133,45 @@ def test_forcing_multiplier_matches_mpmath(sigma):
             assert g_val == pytest.approx(ref, rel=1e-13, abs=0.0), (t, x)
 
 
+def _band_edges(sigma):
+    bands = semigroup._bands(sigma)
+    far = np.arange(len(bands.centres) - 64) * bands.width
+    return np.concatenate([np.arange(65) / 16.0, far[far >= semigroup._NEAR]])
+
+
+@pytest.mark.parametrize("sigma", [-0.99, -0.9, -0.5, 0.0, 0.5, 3.0, 4.0, 8.0, 20.0])
+def test_forcing_multiplier_matches_mpmath_hyp1f1(sigma):
+    # F(1, z) = 1F1(1; sigma+2; -z)/(sigma+1), at z = 0, on a log grid over
+    # [1e-8, 1e6] and on both sides of every band edge; the far bands widen
+    # and the asymptotic edge moves out with sigma
+    import mpmath
+
+    edges = _band_edges(sigma)
+    z = np.unique(np.concatenate([[0.0], np.geomspace(1e-8, 1e6, 57), edges,
+                                  np.nextafter(edges[1:], 0.0)]))
+    got = forcing_multiplier(1.0, z, sigma)
+    with mpmath.workdps(40):
+        b = mpmath.mpf(sigma) + 2
+        for g_val, x in zip(got, z):
+            ref = mpmath.hyp1f1(1, b, -mpmath.mpf(x)) / (b - 1)
+            assert abs(g_val - ref) <= 1e-13 * ref, x
+
+
+def test_forcing_multiplier_is_per_element():
+    # an element's value never depends on the others: alone, among near
+    # bands only, or among near, far and asymptotic bands; on both sides of
+    # every band edge too, where rounding may put z in the band above
+    for sigma in (-0.5, 3.0, 20.0):
+        edges = _band_edges(sigma)
+        z = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 40), edges,
+                            np.nextafter(edges[1:], 0.0)])
+        full = forcing_multiplier(1.0, z, sigma)
+        near = z < semigroup._NEAR
+        assert np.array_equal(forcing_multiplier(1.0, z[near], sigma), full[near])
+        for i, x in enumerate(z):
+            assert forcing_multiplier(1.0, np.array([x]), sigma)[0] == full[i], x
+
+
 @pytest.mark.parametrize("N, n", [(2, 64), (3, 16)])
 def test_propagator_forcing_multiplier_is_per_mode_bitwise(N, n):
     # 1F1 once per distinct |xi|^2, expanded: the same bits as every mode
@@ -167,10 +207,14 @@ def test_sup_smoothing_ratio_matches_per_time_propagation():
     probes.append(Field(g, np.zeros(g.shape)))
     times = np.geomspace(1e-5, 10.0, 48)
     prop = Propagator(g)
+    heated = {}  # shared by the calls with r_dst = 6
     for r_src, r_dst in ((3.0, 6.0), (1.5, 6.0), (1.2, 6.0), (2.0, math.inf)):
         got = sup_smoothing_ratio(prop, probes, times, r_src, r_dst)
         assert got == smoothing_ratio_by_propagation(prop, probes, times, r_src, r_dst)
         assert got > 0.0
+        if r_dst == 6.0:
+            assert sup_smoothing_ratio(prop, probes, times, r_src, r_dst, heated) == got
+    assert len(heated) == 3  # the zero probe is never heated
     with pytest.raises(ValueError, match="grid"):
         sup_smoothing_ratio(prop, [make_bump(Grid(2, 8.0, 32), "compact_bump")], times, 3.0, 6.0)
 

@@ -4,11 +4,14 @@ A function, class or method that only the tests call belongs in the tests
 (see tests/_oracles.py).  Uses are matched by name: a Name, an Attribute or
 an import alias anywhere in the package counts, whatever object it refers to.
 
-The package also keeps to one numeric backend: numpy, with scipy imported only
-for scipy.special.
+The package also keeps to one numeric backend: numpy alone.  scipy serves only
+the test oracles.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "critex"
@@ -71,11 +74,18 @@ def _imported_modules(tree):
                 yield node.module
 
 
-def test_scipy_only_for_special_functions():
-    # one numeric backend: scipy.special (hyp1f1) is the only scipy module in src
+def test_src_imports_no_scipy():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found.update(name for name in _imported_modules(tree)
                      if name.split(".")[0] == "scipy")
-    assert found <= {"scipy.special"}, found
+    assert found == set(), found
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, critex.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "[]", out.stdout
