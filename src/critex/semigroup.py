@@ -91,8 +91,11 @@ def forcing_multiplier(t, xi2, sigma):
     Substituting s = t u turns it into t^(sigma+1) g(t xi2), with Kummer's
     integral g(z) = int_0^1 u^sigma e^{-z(1-u)} du = 1F1(1; sigma+2; -z)/(sigma+1):
     the Fourier multiplier of the forcing term, exact for every mode however
-    stiff.  g is evaluated in numpy alone (`_kummer_g`), to about 2e-15
-    relative against 40-digit mpmath.
+    stiff.  g is evaluated in numpy alone (`_kummer_g`), one polynomial per
+    band of z (`_bands`): 8-term Taylor polynomials on bands of width 1/16
+    below z = 4, 16-term ones on bands of width max(1, 0.16 (sigma + 1))
+    beyond, and the asymptotic series in 1/z from z = max(86, 11.6 sigma)
+    on.  Relative error against 40-digit mpmath is at most about 2e-15.
     """
     z = np.asarray(t * xi2, dtype=np.float64)
     return t ** (sigma + 1.0) * _kummer_g(z.ravel(), sigma).reshape(z.shape)
@@ -179,9 +182,11 @@ def _bands(sigma):
     coef[:, 64:-1] = _taylor_coefficients(far_centres, s1, 16)
     coef[1, -1] = 1.0
     coef[2:, -1] = np.cumprod(np.arange(14) - sigma)
-    centres = np.concatenate([near_centres, far_centres, [0.0]])
-    return _Bands(coef[:8, :64][_bit_reversed(8)], coef[_bit_reversed(16)],
-                  centres, width)
+    bands = _Bands(coef[:8, :64][_bit_reversed(8)], coef[_bit_reversed(16)],
+                   np.concatenate([near_centres, far_centres, [0.0]]), width)
+    for table in bands[:3]:  # shared by every caller through the cache
+        table.flags.writeable = False
+    return bands
 
 
 def _kummer_g(z, sigma):
@@ -208,12 +213,14 @@ def _kummer_g(z, sigma):
 
 def _estrin(coef, x):
     """sum_k coef_k x^k with coef in bit-reversed order: each level pairs the
-    first half of the rows with the second, then squares x."""
+    first half of the rows with the second, then squares x.  coef, a
+    gathered copy, is overwritten."""
     while True:
         half = len(coef) // 2
-        nxt = coef[half:] * x
-        nxt += coef[:half]
+        high = coef[half:]
+        high *= x
+        high += coef[:half]
         if half == 1:
-            return nxt[0]
-        coef = nxt
+            return high[0]
+        coef = high
         x = x * x
