@@ -12,7 +12,9 @@ mu = xi(|x|^2/T)^{2p'} is radial, so it and its Laplacian
 (4 s g''(s) + 2N g'(s)) / T, with s = |x|^2/T and g = xi^{2p'}, are
 evaluated in closed form once per shell of grid points with equal |x|^2;
 the space integrals are sums over shells weighted by the number of points
-in each (or, for the forcing factor, by w summed over each).  Tracking the
+in each (or, for the forcing factor, by w summed over each).  No grid-sized
+shell index is built: the counts are shifted 1-D histograms of one slab's
+shells, and w is summed into its shells slab by slab.  Tracking the
 implied upper bound on the forcing mass along a T-ladder turns the scaling
 argument into a numerical verdict: if the bound decays, a positive-mass
 forcing is contradicted and no global solution can exist.
@@ -197,23 +199,32 @@ class Shells:
     A radial function takes one value per shell, so its grid sum is a sum
     over the occupied shells weighted by ``count``, and its sum against a
     field is weighted by the field summed over each shell (``sum``).
+
+    No array of grid size is built.  Slab i of the first axis holds the
+    shells ``rest + k2[i]``, with ``rest`` the shell of each point of one
+    slab (n^(N-1) entries), so the counts are the 1-D histogram of ``rest``
+    shifted by each ``k2[i]`` and added: exact integer sums.
     """
 
     grid: Grid
-    m: np.ndarray  # shell of each grid point, flattened in C order
+    k2: np.ndarray  # squared integer offset of each index along one axis
+    rest: np.ndarray  # shell of each point of one slab minus its own k2[i]
     occupied: np.ndarray  # the shells that hold grid points, ascending
     count: np.ndarray  # grid points in each occupied shell
 
     @classmethod
     def of(cls, grid):
         k2 = (np.arange(grid.n) - grid.n // 2) ** 2  # -L + h i = h (i - n/2)
-        m = k2
+        rest = np.zeros(1, dtype=k2.dtype)
         for _ in range(grid.N - 1):
-            m = np.add.outer(m, k2)
-        m = m.ravel()
-        count = np.bincount(m)
+            rest = np.add.outer(rest, k2).ravel()
+        slab = np.bincount(rest)
+        count = np.zeros(k2.max() + slab.size, dtype=np.int64)
+        for shift in k2:
+            count[shift:shift + slab.size] += slab
         occupied = np.flatnonzero(count)
-        return cls(grid=grid, m=m, occupied=occupied, count=count[occupied])
+        return cls(grid=grid, k2=k2, rest=rest, occupied=occupied,
+                   count=count[occupied])
 
     @property
     def r2(self):
@@ -221,8 +232,18 @@ class Shells:
         return self.grid.h**2 * self.occupied
 
     def sum(self, values):
-        """Samples of a field on this grid summed over each occupied shell."""
-        return np.bincount(self.m, weights=np.ravel(values))[self.occupied]
+        """Samples of a field on this grid summed over each occupied shell.
+
+        The slabs are added in C order by the unbuffered ``np.add.at``, one
+        element after another, so each shell's sum is bitwise the one that
+        ``np.bincount`` over all points in C order gives.
+        """
+        if values.shape != self.grid.shape:
+            raise ValueError(f"values shape {values.shape} != grid shape {self.grid.shape}")
+        total = np.zeros(self.occupied[-1] + 1)
+        for shift, slab in zip(self.k2, values.reshape(self.grid.n, -1)):
+            np.add.at(total, self.rest + shift, slab)
+        return total[self.occupied]
 
 
 def _xi_power(s, a, cutoffs):
@@ -243,12 +264,15 @@ class RadialFactor:
     laplacian: np.ndarray
 
     @classmethod
-    def build(cls, scale, params, cutoffs, shells):
-        """mu is supported in |x|^2 <= 2 scale, so the box must have L^2 >= 2 scale."""
+    def build(cls, scale, params, cutoffs, shells, label):
+        """mu is supported in |x|^2 <= 2 scale, so the box must have L^2 >= 2 scale.
+
+        ``label`` names the scale's source in the error, e.g. ``"T = 16.0"``.
+        """
         L2 = shells.grid.L ** 2
         if 2.0 * scale > L2 * (1.0 + 1e-12):
-            raise ValueError(f"box too small for cutoff scale {scale}: "
-                             f"need L^2 >= 2 * scale, have L^2 = {L2}")
+            raise ValueError(f"box too small for {label}: need L^2 >= 2 * {scale}, "
+                             f"have L^2 = {L2}")
         s = shells.r2 / scale
         g, g_d, g_dd = _xi_power(s, 2.0 * _pp(params), cutoffs)
         lap = (4.0 * s * g_dd + 2.0 * shells.grid.N * g_d) / scale
@@ -280,12 +304,12 @@ class RadialFactor:
 
 def build_phi(T, params, cutoffs, shells):
     """The rescaled spatial factor xi(|x|^2/T)^{2p'} for horizon T."""
-    return RadialFactor.build(T, params, cutoffs, shells)
+    return RadialFactor.build(T, params, cutoffs, shells, f"T = {T}")
 
 
 def build_mu_fixed(R, params, cutoffs, shells):
     """Spatial factor xi(|x|^2/R^2)^{2p'} at a T-independent scale R."""
-    return RadialFactor.build(R**2, params, cutoffs, shells)
+    return RadialFactor.build(R**2, params, cutoffs, shells, f"R = {R} (scale R^2)")
 
 
 def young_constant(params):
@@ -359,15 +383,18 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
     """Evaluate the scaling certificate for forcing w over a ladder of T.
 
     For sigma > 0 the spatial cutoff is held at a fixed scale R (default L/2)
-    while T grows; otherwise the cutoff rescales with T.  The verdict is
-    CONTRADICTION when the fitted T-slope of the implied mass bound is
-    negative and the forcing mass is positive, matching the sign of
+    while T grows; otherwise the cutoff rescales with T and R must be unset.
+    The verdict is CONTRADICTION when the fitted T-slope of the implied mass
+    bound is negative and the forcing mass is positive, matching the sign of
     N/2 - sigma - p/(p-1).
     """
     if R is not None and not (R > 0):
         raise ValueError(f"R must be positive, got {R}")
     grid = w.profile.grid
     sigma = float(params.sigma)
+    if R is not None and not sigma > 0:
+        raise ValueError(f"R (R_length) = {R} fixes the cutoff scale, which only "
+                         f"sigma > 0 uses; at sigma = {sigma} the cutoff rescales with T")
     pp = _pp(params)
     T_ladder = np.sort(np.asarray(T_ladder, dtype=float))
     if np.unique(T_ladder).size < 2:

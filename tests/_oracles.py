@@ -314,6 +314,24 @@ def certificate_space_factors_on_grid(w_values, grid, scale, pp, xi, mu_floor):
             dv * float(np.sum(quot)))
 
 
+def shells_by_full_index(grid, values):
+    """Shells of equal |x|^2 from the shell index of every grid point.
+
+    Builds the grid-sized index m = i^2 + j^2 + ... (integer offsets from
+    the origin, flattened in C order) and returns the occupied shells, the
+    points in each and ``values`` summed over each by ``np.bincount``.
+    """
+    k2 = (np.arange(grid.n) - grid.n // 2) ** 2
+    m = k2
+    for _ in range(grid.N - 1):
+        m = np.add.outer(m, k2)
+    m = m.ravel()
+    count = np.bincount(m)
+    occupied = np.flatnonzero(count)
+    sums = np.bincount(m, weights=np.ravel(values))
+    return occupied, count[occupied], sums[occupied]
+
+
 def heat(prop, f, t):
     """e^{tD} f for a Field: forward transform, damping multiplier, inverse.
 

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from _oracles import certificate_space_factors_on_grid, grid_r2
+from _oracles import certificate_space_factors_on_grid, grid_r2, shells_by_full_index
 from critex.certificate import (
     _MU_FLOOR,
     Shells,
@@ -66,10 +67,64 @@ def test_phi_vanishes_at_time_zero():
 
 def test_box_too_small_rejected():
     shells = Shells.of(Grid(2, 4.0, 64))
-    with pytest.raises(ValueError, match="box too small"):
+    with pytest.raises(ValueError, match="box too small for T = 16.0"):
         build_phi(16.0, Params(2, 2, HALF), CUT, shells)
-    with pytest.raises(ValueError, match="box too small"):
+    with pytest.raises(ValueError, match=r"box too small for R = 4.0 \(scale R\^2\)"):
         build_mu_fixed(4.0, Params(2, 2, HALF), CUT, shells)
+
+
+def test_fixed_scale_rejected_when_cutoff_rescales():
+    # sigma <= 0 rescales the cutoff with T, so a given R would go unused
+    w = unit_mass_forcing(Grid(2, 16.0, 64))
+    for sigma in (HALF, Fraction(0)):
+        with pytest.raises(ValueError, match="R_length"):
+            blowup_certificate(w, Params(2, 2, sigma), CUT, [8.0, 16.0], R=3.0)
+    rep = blowup_certificate(w, Params(2, 3, Fraction(1)), CUT, [8.0, 16.0], R=3.0)
+    assert rep.mode == "fixed-space"
+
+
+def _shell_test_data(grid, kind):
+    if kind == "random":
+        return np.random.default_rng(7).standard_normal(grid.shape)
+    scale = {"gaussian": 0.25, "compact_bump": 3.0}[kind]
+    return make_bump(grid, kind, scale=scale).values
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "compact_bump", "random"])
+@pytest.mark.parametrize("N, n", [(N, n) for N in (1, 2, 3) for n in (8, 32, 128)])
+def test_shells_match_full_index(N, n, kind):
+    # slab-by-slab shells against the grid-sized index and np.bincount: exact
+    grid = Grid(N, 16.0, n)
+    values = _shell_test_data(grid, kind)
+    occupied, count, sums = shells_by_full_index(grid, values)
+    shells = Shells.of(grid)
+    assert np.array_equal(shells.occupied, occupied)
+    assert np.array_equal(shells.count, count)
+    assert np.array_equal(shells.sum(values), sums)
+
+
+def test_shells_sum_rejects_wrong_shape():
+    grid = Grid(2, 16.0, 32)
+    shells = Shells.of(grid)
+    # same size, or a size divisible by n: a reshape alone would accept both
+    for shape in ((32 * 32,), (16, 64), (32, 64), (32, 32, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            shells.sum(np.ones(shape))
+
+
+@pytest.mark.parametrize("sigma", [HALF, -HALF], ids=str)
+def test_certificate_peak_memory_below_half_the_field(sigma):
+    # no grid-sized index or weighted copy: the traced peak stays far below w
+    g = Grid(3, 16.0, 128)
+    w = unit_mass_forcing(g)
+    tracemalloc.start()
+    try:
+        blowup_certificate(w, Params(3, 2, sigma), CUT, [32.0, 64.0, 128.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = w.profile.values.nbytes
+    assert peak < 0.5 * field_bytes, peak / field_bytes
 
 
 def test_mu_integral_scales_as_half_dimension():

@@ -266,6 +266,19 @@ def test_explicit_zero_rejected(tmp_path, command, base, line, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("sigma, line, message", [
+    ("-0.5", "R_length = 3", "R_length"),
+    ("0.5", "R_length = 50", "R = 50.0"),
+], ids=["unused-when-rescaled", "box-too-small"])
+def test_certificate_bad_fixed_scale_rejected(tmp_path, sigma, line, message):
+    # sigma <= 0 rescales the cutoff with T and has no use for R_length
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(CERT_CFG.replace("sigma = -0.5", f"sigma = {sigma}") + line + "\n")
+    res = run_cli(["certificate", str(cfg)])
+    assert res.returncode == 2, res.stdout
+    assert message in res.stderr
+
+
 def test_certificate_unknown_cutoffs_rejected(tmp_path):
     cfg = tmp_path / "cert.ini"
     cfg.write_text(CERT_CFG + "cutoffs = foo\n")
