@@ -12,9 +12,11 @@ mu = xi(|x|^2/T)^{2p'} is radial, so it and its Laplacian
 (4 s g''(s) + 2N g'(s)) / T, with s = |x|^2/T and g = xi^{2p'}, are
 evaluated in closed form once per shell of grid points with equal |x|^2;
 the space integrals are sums over shells weighted by the number of points
-in each (or, for the forcing factor, by w summed over each).  No grid-sized
-shell index is built: the counts are shifted 1-D histograms of one slab's
-shells, and w is summed into its shells slab by slab.  Tracking the
+in each (or, for the forcing factor, by w summed over each).  No array of
+grid size is built: the counts are shifted 1-D histograms of one slab's
+shells, and the forcing is never held.  It arrives as a stream of slabs
+(``field.profile_slabs``) from which one pass takes its shell sums, its
+mass and its fingerprint.  Tracking the
 implied upper bound on the forcing mass along a T-ladder turns the scaling
 argument into a numerical verdict: if the bound decays, a positive-mass
 forcing is contradicted and no global solution can exist.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Grid
+from .field import Grid, fingerprint_hash, slab_integral
 
 # Quotient guard: the exact quotient mu^{-1/(p-1)} |Lap mu|^{p'} is bounded
 # (the xi powers cancel), but its first factor overflows where mu underflows,
@@ -198,7 +200,7 @@ class Shells:
 
     A radial function takes one value per shell, so its grid sum is a sum
     over the occupied shells weighted by ``count``, and its sum against a
-    field is weighted by the field summed over each shell (``sum``).
+    field is weighted by the field summed over each shell (``stream_forcing``).
 
     No array of grid size is built.  Slab i of the first axis holds the
     shells ``rest + k2[i]``, with ``rest`` the shell of each point of one
@@ -231,19 +233,28 @@ class Shells:
         """|x|^2 of each occupied shell."""
         return self.grid.h**2 * self.occupied
 
-    def sum(self, values):
-        """Samples of a field on this grid summed over each occupied shell.
 
-        The slabs are added in C order by the unbuffered ``np.add.at``, one
-        element after another, so each shell's sum is bitwise the one that
-        ``np.bincount`` over all points in C order gives.
-        """
-        if values.shape != self.grid.shape:
-            raise ValueError(f"values shape {values.shape} != grid shape {self.grid.shape}")
-        total = np.zeros(self.occupied[-1] + 1)
-        for shift, slab in zip(self.k2, values.reshape(self.grid.n, -1)):
-            np.add.at(total, self.rest + shift, slab)
-        return total[self.occupied]
+def stream_forcing(shells, slabs):
+    """Everything the certificate reads of w, in one pass over its slabs.
+
+    ``slabs`` are w's slabs in order (``field.profile_slabs``).  Returns
+    (w summed over each occupied shell, w's mass, w's fingerprint), bitwise
+    the same as ``np.bincount`` over all points in C order,
+    ``field.integral`` and ``field.field_fingerprint`` of the whole field.
+    The shell sums are exact in order because the unbuffered ``np.add.at``
+    adds a slab's points one after another.
+    """
+    grid = shells.grid
+    total = np.zeros(shells.occupied[-1] + 1)
+    digest = fingerprint_hash(grid)
+    sums = []
+    for rows, slab in zip(grid.slab_rows(), slabs, strict=True):
+        if slab.shape != grid.slab_shape:
+            raise ValueError(f"slab shape {slab.shape} != grid slab shape {grid.slab_shape}")
+        digest.update(np.ascontiguousarray(slab, dtype="<f8"))
+        np.add.at(total, (shells.k2[rows, None] + shells.rest).ravel(), slab.ravel())
+        sums.append(np.sum(slab))
+    return total[shells.occupied], slab_integral(grid, sums), digest.hexdigest()
 
 
 def _xi_power(s, a, cutoffs):
@@ -379,8 +390,11 @@ def expected_slopes(params):
     }
 
 
-def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
+def blowup_certificate(shells, w_shells, mass, params, cutoffs, T_ladder, R=None):
     """Evaluate the scaling certificate for forcing w over a ladder of T.
+
+    w enters only through ``w_shells``, its sums over the occupied
+    ``shells`` of its grid, and its signed ``mass`` (``stream_forcing``).
 
     For sigma > 0 the spatial cutoff is held at a fixed scale R (default L/2)
     while T grows; otherwise the cutoff rescales with T and R must be unset.
@@ -390,7 +404,7 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
     """
     if R is not None and not (R > 0):
         raise ValueError(f"R must be positive, got {R}")
-    grid = w.profile.grid
+    grid = shells.grid
     sigma = float(params.sigma)
     if R is not None and not sigma > 0:
         raise ValueError(f"R (R_length) = {R} fixes the cutoff scale, which only "
@@ -408,8 +422,6 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
         raise ValueError("degenerate cutoff: eta integrates to zero")
     c_diss = time_factor_dissipation(params, cutoffs)
     cy = young_constant(params)
-    shells = Shells.of(grid)
-    w_shells = shells.sum(w.profile.values)
 
     mode = "fixed-space" if sigma > 0 else "rescaled-space"
     if mode == "fixed-space":
@@ -429,8 +441,8 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
     time_int = T_ladder ** (sigma + 1.0) * c_forcing
     forcing = time_int * space_forcing
     bound = 2.0 * cy * (i1 + i2) / time_int
-    threshold_ok = space_forcing >= 0.5 * w.mass
-    contradiction_at = threshold_ok & (bound < w.mass) & (w.mass > 0)
+    threshold_ok = space_forcing >= 0.5 * mass
+    contradiction_at = threshold_ok & (bound < mass) & (mass > 0)
 
     slopes = {
         "forcing": _fit_slope(T_ladder, forcing),
@@ -438,9 +450,9 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
         "I2": _fit_slope(T_ladder, i2),
         "bound": _fit_slope(T_ladder, bound),
     }
-    if w.mass > 0 and slopes["bound"] < 0:
+    if mass > 0 and slopes["bound"] < 0:
         verdict = "CONTRADICTION"
-    elif w.mass <= 0:
+    elif mass <= 0:
         verdict = "INAPPLICABLE"
     else:
         verdict = "NO_CONTRADICTION"
@@ -448,7 +460,7 @@ def blowup_certificate(w, params, cutoffs, T_ladder, R=None):
     return CertificateReport(
         mode=mode,
         cutoff_label=cutoffs.label,
-        mass=w.mass,
+        mass=mass,
         T_ladder=T_ladder,
         forcing=forcing,
         I1=i1,

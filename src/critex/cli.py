@@ -29,7 +29,15 @@ from .exponents import (
     q_window_discriminant,
     verify_scaling_identities,
 )
-from .field import Field, ForcingSpec, Grid, data_profile, field_fingerprint, write_snapshot
+from .field import (
+    Field,
+    ForcingSpec,
+    Grid,
+    data_profile,
+    field_fingerprint,
+    profile_slabs,
+    write_snapshot,
+)
 
 
 def _fmt(x):
@@ -143,13 +151,16 @@ def _params_grid(values):
     return params, Grid(N=params.N, **values["grid"])
 
 
-def _profile(values, prefix, grid, path=None):
-    """The [data] profile `<prefix>_*`; a path (--seed-profile) replaces its file or bump."""
+def _profile(values, prefix, grid, path=None, build=None):
+    """The [data] profile `<prefix>_*` as a Field, or as build(grid, **args) makes it.
+
+    A path (--seed-profile) replaces its file or bump.
+    """
     args = {arg: v for (pre, arg), v in values["data"].items() if pre == prefix}
     if path:
         args["path"] = path
     try:
-        return data_profile(grid, **args)
+        return (build or data_profile)(grid, **args)
     except ValueError as exc:
         raise config_mod.ConfigError(f"invalid {prefix} profile: {exc}") from None
 
@@ -161,7 +172,7 @@ def _run_inputs(ns, values):
     if u0 is None:
         u0 = Field(grid, np.zeros(grid.shape))
     w = _profile(values, "w", grid)
-    return params, u0, None if w is None else ForcingSpec.from_profile(w)
+    return params, u0, None if w is None else ForcingSpec(w)
 
 
 def cmd_simulate(ns):
@@ -248,10 +259,9 @@ def cmd_certificate(ns):
     try:
         cfg, values = _read(ns, "certificate")
         params, grid = _params_grid(values)
-        w_profile = _profile(values, "w", grid)
-        if w_profile is None:
+        w_slabs = _profile(values, "w", grid, build=profile_slabs)
+        if w_slabs is None:
             raise config_mod.ConfigError("certificate needs a forcing profile")
-        w = ForcingSpec.from_profile(w_profile)
         sec = dict(values["certificate"])
         label = sec.pop("cutoffs", "default")
         makers = {"default": cert_mod.default_cutoffs, "steep": cert_mod.steep_cutoffs}
@@ -259,16 +269,19 @@ def cmd_certificate(ns):
             raise config_mod.ConfigError(
                 f"unknown cutoffs {label!r}; valid: {', '.join(makers)}")
         cutoffs = makers[label]()
+        # the forcing is read once, slab by slab, and never held whole
+        shells = cert_mod.Shells.of(grid)
+        w_shells, mass, w_fingerprint = cert_mod.stream_forcing(shells, w_slabs)
     except (config_mod.ConfigError, OSError, ValueError) as exc:
         _print_err(str(exc))
         return 2
 
     try:
-        report = cert_mod.blowup_certificate(w, params, cutoffs, **sec)
+        report = cert_mod.blowup_certificate(shells, w_shells, mass, params, cutoffs, **sec)
     except ValueError as exc:
         _print_err(str(exc))
         return 2
-    _write_manifest(ns, "certificate", cfg, {"w": field_fingerprint(w.profile)})
+    _write_manifest(ns, "certificate", cfg, {"w": w_fingerprint})
     _write_text(ns, "certificate.csv", report.csv())
     print(f"verdict: {report.verdict}  bound_slope: {_fmt(report.slopes['bound'])}  "
           f"expected: {_fmt(report.expected_slopes['bound'])}")

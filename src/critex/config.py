@@ -79,7 +79,7 @@ def _profile_keys(prefix):
 
 # section -> key -> (argument name, parser, required).  The argument names
 # are keywords of the code that takes the values and owns their defaults:
-# Params, Grid, field.data_profile, evolve.SolveConfig, picard's
+# Params, Grid, field.profile_slabs, evolve.SolveConfig, picard's
 # geometric_ladder, SolutionMap and iterate_to_fixed_point,
 # certificate.blowup_certificate and sweep.SweepPlan ([grid] and [sweep]).
 KEYS = {

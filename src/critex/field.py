@@ -5,13 +5,20 @@ periodic box [-L, L)^N.  All integrals are rectangle-rule sums, which are
 spectrally accurate for smooth data whose mass stays away from the box
 boundary; the boundary-shell diagnostic quantifies how far that assumption
 holds for a given field.
+
+A data profile (a bump, a constant or a snapshot file) is built as a stream
+of first-axis slabs by ``profile_slabs``.  ``data_profile`` writes the
+stream into one array to make a Field; a consumer that only reduces the
+profile (the certificate) takes the slabs and never holds the whole field.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
@@ -59,6 +66,21 @@ class Grid:
     def axis(self):
         """Coordinates of one axis: -L, -L+h, ..., L-h."""
         return -self.L + self.h * np.arange(self.n)
+
+    @property
+    def slab_shape(self):
+        """Shape of one slab: max(1, 128 // n^(N-1)) first-axis rows, at most n.
+
+        A slab thus holds 128 * 2^k points, or the whole grid (see
+        ``slab_integral``).
+        """
+        rows = min(self.n, max(1, 128 // self.n ** (self.N - 1)))
+        return (rows,) + self.shape[1:]
+
+    def slab_rows(self):
+        """The first-axis index ranges of the slabs, in order."""
+        rows = self.slab_shape[0]
+        return [slice(i, i + rows) for i in range(0, self.n, rows)]
 
     @cached_property
     def _face_masks(self):
@@ -113,6 +135,21 @@ def integral(f):
     return f.grid.cell_volume * float(np.sum(f.values))
 
 
+def slab_integral(grid, slab_sums):
+    """``integral`` of a field from ``np.sum`` of each of its slabs, in order.
+
+    numpy sums a contiguous float64 array pairwise: blocks of at most 128
+    elements in an unrolled loop, larger ranges halved recursively at a
+    multiple of 8.  A slab holds 128 * 2^k points or the whole grid, and a
+    grid holds a power of two of slabs, so adding the slab sums pairwise,
+    neighbours first, retraces ``np.sum(values)`` bitwise.
+    """
+    sums = list(slab_sums)
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return grid.cell_volume * float(sums[0])
+
+
 def lr_norm(f, r):
     """Lebesgue r-norm by grid quadrature; r = inf gives max |values|."""
     if r != math.inf and r < 1:
@@ -150,135 +187,185 @@ def boundary_shell_fraction(f, depth=0.125, absu=None):
 
 @dataclass(frozen=True)
 class ForcingSpec:
-    """Spatial forcing profile w together with its cached signed mass."""
+    """Spatial forcing profile w together with its signed mass, summed once."""
 
     profile: Field
-    mass: float
+    mass: float = dataclass_field(init=False)
 
     def __post_init__(self):
-        actual = integral(self.profile)
-        if abs(actual - self.mass) > 1e-12 * max(1.0, abs(actual)):
-            raise ValueError(
-                f"cached mass {self.mass!r} disagrees with quadrature {actual!r}"
-            )
-
-    @classmethod
-    def from_profile(cls, profile):
-        return cls(profile=profile, mass=integral(profile))
-
-
-def make_bump(grid, kind, center=None, scale=1.0, amplitude=1.0):
-    """Sample a localized profile on the grid.
-
-    kind = "gaussian":      amplitude * exp(-|x - c|^2 / (4*scale))
-    kind = "compact_bump":  amplitude * exp(1 - 1/(1 - |x - c|^2/scale^2))
-                            inside |x - c| < scale, zero outside.
-
-    For the gaussian, scale plays the role of the heat-kernel width
-    parameter a, so amplitude (4*pi*scale)^(-N/2) gives unit mass.  A
-    warning is attached when the bump sits too close to the box boundary
-    (within 4 effective radii).
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if center is None:
-        center = (0.0,) * grid.N
-    center = tuple(float(c) for c in center)
-    if len(center) != grid.N:
-        raise ValueError(f"center must have {grid.N} coordinates")
-
-    ax = grid.axis()
-    if kind == "gaussian":
-        radius = 4.0 * math.sqrt(scale)
-        # the Gaussian factors over the axes: N 1-D exponentials, outer product
-        vals = amplitude * np.exp(-((ax - center[0]) ** 2) / (4.0 * scale))
-        for c in center[1:]:
-            vals = np.multiply.outer(vals, np.exp(-((ax - c) ** 2) / (4.0 * scale)))
-    elif kind == "compact_bump":
-        radius = scale
-        r2 = np.zeros(grid.shape)
-        for a in range(grid.N):
-            shp = [1] * grid.N
-            shp[a] = grid.n
-            r2 = r2 + ((ax - center[a]) ** 2).reshape(shp)
-        s = r2 / (scale * scale)
-        vals = np.zeros(grid.shape)
-        inside = s < 1.0
-        with np.errstate(divide="ignore"):
-            vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-    else:
-        raise ValueError(f"unknown bump kind {kind!r}")
-
-    margin = min(grid.L - abs(c) for c in center)
-    if margin < radius:
-        warnings.warn(
-            f"{kind} with effective radius {radius:.3g} is within "
-            f"{margin:.3g} of the box boundary; truncation may be visible",
-            stacklevel=2,
-        )
-    return Field(grid, vals)
+        object.__setattr__(self, "mass", integral(self.profile))
 
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """Recipe for a data profile: a make_bump kind, "constant" or "none" (no profile)."""
+    """Recipe for a data profile: a bump kind, "constant" or "none" (no profile)."""
 
     kind: str = "gaussian"
     scale: float = 0.25
     amplitude: float = 1.0
     center: tuple | None = None
 
-    def build(self, grid):
+    def slabs(self, grid):
+        """The profile's slabs, lazily; None for kind "none".
+
+        kind = "gaussian":      amplitude * exp(-|x - c|^2 / (4*scale))
+        kind = "compact_bump":  amplitude * exp(1 - 1/(1 - |x - c|^2/scale^2))
+                                inside |x - c| < scale, zero outside.
+        kind = "constant":      amplitude everywhere.
+
+        For the gaussian, scale plays the role of the heat-kernel width
+        parameter a, so amplitude (4*pi*scale)^(-N/2) gives unit mass.  A bad
+        recipe raises here, and a warning is issued here when the bump sits
+        too close to the box boundary (within 4 effective radii).
+        """
         if self.kind == "none":
             return None
         if self.kind == "constant":
-            return Field(grid, np.full(grid.shape, self.amplitude))
-        return make_bump(grid, self.kind, center=self.center, scale=self.scale,
-                         amplitude=self.amplitude)
+            return (np.full(grid.slab_shape, float(self.amplitude)) for _ in grid.slab_rows())
+        scale, amplitude = self.scale, self.amplitude
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        center = (0.0,) * grid.N if self.center is None else tuple(map(float, self.center))
+        if len(center) != grid.N:
+            raise ValueError(f"center must have {grid.N} coordinates")
+
+        ax = grid.axis()
+        if self.kind == "gaussian":
+            radius = 4.0 * math.sqrt(scale)
+            # the Gaussian factors over the axes: N 1-D exponentials, and a
+            # slab is the outer product of the first one's rows with the rest
+            factors = [np.exp(-((ax - c) ** 2) / (4.0 * scale)) for c in center]
+            factors[0] = amplitude * factors[0]
+
+            def slab(rows):
+                vals = factors[0][rows]
+                for f in factors[1:]:
+                    vals = np.multiply.outer(vals, f)
+                return vals
+        elif self.kind == "compact_bump":
+            radius = scale
+            squares = [(ax - c) ** 2 for c in center]
+
+            def slab(rows):
+                # |x - c|^2 summed axis by axis, the first axis first
+                r2 = squares[0][rows].reshape((-1,) + (1,) * (grid.N - 1))
+                for a in range(1, grid.N):
+                    shp = [1] * grid.N
+                    shp[a] = grid.n
+                    r2 = r2 + squares[a].reshape(shp)
+                s = r2 / (scale * scale)
+                vals = np.zeros(s.shape)
+                inside = s < 1.0
+                with np.errstate(divide="ignore"):
+                    vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+                return vals
+        else:
+            raise ValueError(f"unknown bump kind {self.kind!r}")
+
+        margin = min(grid.L - abs(c) for c in center)
+        if margin < radius:
+            warnings.warn(
+                f"{self.kind} with effective radius {radius:.3g} is within "
+                f"{margin:.3g} of the box boundary; truncation may be visible",
+                stacklevel=3,
+            )
+        return (slab(rows) for rows in grid.slab_rows())
+
+
+def profile_slabs(grid, path=None, factor=1.0, **bump):
+    """A data profile as its slabs (``Grid.slab_rows``), in order.
+
+    The profile is the snapshot at path, else ``BumpSpec(**bump)`` on grid,
+    times factor; None for kind "none".  A bad recipe or snapshot header
+    raises ValueError here, before any slab; a slab with a non-finite value
+    raises ValueError when it is reached.
+    """
+    slabs = _snapshot_slabs(path, grid) if path else BumpSpec(**bump).slabs(grid)
+    return None if slabs is None else _finite(slabs, float(factor))
+
+
+def _finite(slabs, factor):
+    for slab in slabs:
+        if factor != 1.0:
+            slab = slab * factor  # the elementwise product of Field.scaled
+        if not np.all(np.isfinite(slab)):
+            raise ValueError("field values must all be finite")
+        yield slab
 
 
 def data_profile(grid, path=None, factor=1.0, **bump):
-    """The snapshot at path, else BumpSpec(**bump).build(grid), scaled by factor.
+    """The Field that ``profile_slabs`` streams, written into one array; None for kind "none"."""
+    slabs = profile_slabs(grid, path, factor, **bump)
+    if slabs is None:
+        return None
+    values = np.empty(grid.shape)
+    for rows, slab in zip(grid.slab_rows(), slabs, strict=True):
+        values[rows] = slab
+    return Field(grid, values)
 
-    None for kind "none".  At factor 1.0 the field is returned as built or read.
-    """
-    f = read_snapshot(path) if path else BumpSpec(**bump).build(grid)
-    if path and f.grid != grid:
-        raise ValueError(f"snapshot {path} does not match the grid")
-    return f if f is None or factor == 1.0 else f.scaled(factor)
+
+def _snapshot_header(grid):
+    return f"{SNAPSHOT_MAGIC} N={grid.N} L={grid.L:.17g} n={grid.n}\n".encode("ascii")
 
 
 def write_snapshot(f, path):
     """Write a field as header line + row-major little-endian float64."""
-    g = f.grid
-    header = f"{SNAPSHOT_MAGIC} N={g.N} L={g.L:.17g} n={g.n}\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
+        fh.write(_snapshot_header(f.grid))
         fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
-def read_snapshot(path):
-    """Read a field written by write_snapshot."""
+def _snapshot_slabs(path, grid):
+    """The slabs of the snapshot at path, read one at a time.
+
+    The header must name grid and the payload must be exactly its 8 * n^N
+    bytes; both are checked before any slab is read.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if parts[:2] != SNAPSHOT_MAGIC.split():
-            raise ValueError(f"{path}: bad snapshot header {header!r}")
-        kv = dict(item.split("=", 1) for item in parts[2:])
-        grid = Grid(N=int(kv["N"]), L=float(kv["L"]), n=int(kv["n"]))
-        raw = fh.read(8 * grid.size)
-        if len(raw) != 8 * grid.size:
-            raise ValueError(f"{path}: truncated snapshot payload")
-        vals = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
-    return Field(grid, vals)
+        line = fh.readline()
+        payload = os.fstat(fh.fileno()).st_size - len(line)
+    header = line.decode("ascii", errors="replace").strip()
+    parts = header.split()
+    if parts[:2] != SNAPSHOT_MAGIC.split():
+        raise ValueError(f"{path}: bad snapshot header {header!r}")
+    kv = dict(item.partition("=")[::2] for item in parts[2:])
+    missing = [key for key in ("N", "L", "n") if key not in kv]
+    if missing:
+        raise ValueError(f"{path}: snapshot header {header!r} lacks {', '.join(missing)}")
+    try:
+        snap = Grid(N=int(kv["N"]), L=float(kv["L"]), n=int(kv["n"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad snapshot header {header!r}: {exc}") from None
+    if snap != grid:
+        raise ValueError(f"snapshot {path} does not match the grid")
+    expected = 8 * grid.size
+    if payload < expected:
+        raise ValueError(f"{path}: truncated snapshot payload: {payload} bytes, "
+                         f"expected {expected}")
+    if payload > expected:
+        raise ValueError(f"{path}: snapshot payload has {payload - expected} bytes "
+                         f"beyond the expected {expected}")
+    return _read_slabs(path, len(line), grid)
+
+
+def _read_slabs(path, offset, grid):
+    size = 8 * math.prod(grid.slab_shape)
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for _ in grid.slab_rows():
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise ValueError(f"{path}: truncated snapshot payload")
+            yield np.frombuffer(raw, dtype="<f8").reshape(grid.slab_shape)
+
+
+def fingerprint_hash(grid):
+    """SHA-256 fed the snapshot header of grid; fed the payload too, it is ``field_fingerprint``."""
+    return hashlib.sha256(_snapshot_header(grid))
 
 
 def field_fingerprint(f):
     """Stable content hash of a field (header + payload bytes)."""
-    import hashlib
-
-    g = f.grid
-    hsh = hashlib.sha256()
-    hsh.update(f"{SNAPSHOT_MAGIC} N={g.N} L={g.L:.17g} n={g.n}\n".encode("ascii"))
+    hsh = fingerprint_hash(f.grid)
     hsh.update(np.ascontiguousarray(f.values, dtype="<f8"))
     return hsh.hexdigest()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import beta_rate, derive, picard_smallness
-from .field import Field, lr_norm, make_bump
+from .field import Field, data_profile, lr_norm
 from .semigroup import Propagator
 
 
@@ -279,7 +279,7 @@ def default_probe_set(grid):
     for frac in (1e-3, 1e-2, 1.0 / 32.0):  # widest still fits the box
         a = frac * grid.L**2
         amp = (4.0 * math.pi * a) ** (-grid.N / 2.0)
-        out.append(make_bump(grid, "gaussian", scale=a, amplitude=amp))
+        out.append(data_profile(grid, kind="gaussian", scale=a, amplitude=amp))
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .exponents import (
     derive,
     picard_smallness,
 )
-from .field import BumpSpec, ForcingSpec, Grid, lr_norm
+from .field import BumpSpec, ForcingSpec, Grid, data_profile, lr_norm
 
 BLOWUP = "BlowUp"
 GLOBAL_CANDIDATE = "GlobalCandidate"
@@ -102,8 +102,8 @@ def _theory_label(params):
 def _job_data(plan, params, scale):
     """Build (u0, w) for one job; supercritical data are shrunk into the smallness budget."""
     grid = plan.grid()
-    u0 = plan.u0_spec.build(grid)
-    w_profile = plan.w_spec.build(grid)
+    u0 = data_profile(grid, **asdict(plan.u0_spec))
+    w_profile = data_profile(grid, **asdict(plan.w_spec))
     if params.sigma != 0 and classify_regime(params) is Regime.SUPERCRITICAL_GLOBAL:
         der = derive(params)
         q = float(der.q_default)
@@ -116,7 +116,7 @@ def _job_data(plan, params, scale):
             w_profile = w_profile.scaled(0.25 * budget / nk)
     u0 = u0.scaled(scale)
     w_profile = w_profile.scaled(scale)
-    return u0, ForcingSpec.from_profile(w_profile)
+    return u0, ForcingSpec(w_profile)
 
 
 def _tail_slope(times, series, t_lo):

@@ -332,6 +332,25 @@ def shells_by_full_index(grid, values):
     return occupied, count[occupied], sums[occupied]
 
 
+def field_slabs(f):
+    """The slabs of a Field held whole, as ``field.profile_slabs`` would stream them."""
+    return [f.values[rows] for rows in f.grid.slab_rows()]
+
+
+def certify(w, params, cutoffs, T_ladder, R=None):
+    """``blowup_certificate`` for a forcing held as a Field.
+
+    Its shell sums come from the full shell index (``shells_by_full_index``)
+    and its mass from ``field.integral``, both over the whole array.
+    """
+    from critex.certificate import Shells, blowup_certificate
+    from critex.field import integral
+
+    shells = Shells.of(w.grid)
+    w_shells = shells_by_full_index(w.grid, w.values)[2]
+    return blowup_certificate(shells, w_shells, integral(w), params, cutoffs, T_ladder, R)
+
+
 def heat(prop, f, t):
     """e^{tD} f for a Field: forward transform, damping multiplier, inverse.
 
@@ -346,6 +365,32 @@ def heat(prop, f, t):
     if t == 0.0:
         return f
     return Field(prop.grid, prop.from_spectrum(prop.to_spectrum(f.values) * prop.multiplier(t)))
+
+
+def bump_on_full_grid(grid, kind, center, scale, amplitude):
+    """A gaussian or compact_bump profile built on the whole grid at once.
+
+    The gaussian is the outer product of the N 1-D exponentials, the first
+    one times the amplitude; the compact bump is evaluated on |x - c|^2
+    summed into a zero array axis by axis.  Slab by slab, the same products
+    and sums must give the same bits.
+    """
+    ax = grid.axis()
+    if kind == "gaussian":
+        vals = amplitude * np.exp(-((ax - center[0]) ** 2) / (4.0 * scale))
+        for c in center[1:]:
+            vals = np.multiply.outer(vals, np.exp(-((ax - c) ** 2) / (4.0 * scale)))
+        return vals
+    r2 = np.zeros(grid.shape)
+    for a in range(grid.N):
+        shp = [1] * grid.N
+        shp[a] = grid.n
+        r2 = r2 + ((ax - center[a]) ** 2).reshape(shp)
+    s = r2 / (scale * scale)
+    vals = np.zeros(grid.shape)
+    inside = s < 1.0
+    vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+    return vals
 
 
 def grid_r2(grid):

@@ -24,7 +24,7 @@ from critex.exponents import (
     q_window_discriminant,
     verify_scaling_identities,
 )
-from critex.field import BumpSpec, Field, ForcingSpec, Grid, integral, lr_norm, make_bump
+from critex.field import BumpSpec, Field, ForcingSpec, Grid, data_profile, integral, lr_norm
 from critex.semigroup import Propagator
 from critex.sweep import (
     BLOWUP,
@@ -36,7 +36,13 @@ from critex.sweep import (
 )
 
 from conftest import record_criterion
-from _oracles import BLOWUP_TIME_FORCED_SQRT, heat, ode_blowup_time, weighted_norm_series
+from _oracles import (
+    BLOWUP_TIME_FORCED_SQRT,
+    certify,
+    heat,
+    ode_blowup_time,
+    weighted_norm_series,
+)
 
 HALF = Fraction(-1, 2)
 UNIT_AMP_2D = (4.0 * math.pi * 0.5) ** -1  # mass-1 gaussian, a = 0.5, N = 2
@@ -44,17 +50,17 @@ UNIT_AMP_2D = (4.0 * math.pi * 0.5) ** -1  # mass-1 gaussian, a = 0.5, N = 2
 
 def unit_gaussian(grid, a):
     amp = (4.0 * math.pi * a) ** (-grid.N / 2.0)
-    return make_bump(grid, "gaussian", scale=a, amplitude=amp)
+    return data_profile(grid, kind="gaussian", scale=a, amplitude=amp)
 
 
 def budget_data(grid, params, q, cstar, fraction=0.25):
     der = derive(params)
     _, budget = picard_smallness(params, q, cstar)
-    u0 = make_bump(grid, "gaussian", scale=0.25, amplitude=1.0)
-    wp = make_bump(grid, "gaussian", scale=0.25, amplitude=1.0)
+    u0 = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
+    wp = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
     u0 = u0.scaled(fraction * budget / lr_norm(u0, float(der.data_index)))
     wp = wp.scaled(fraction * budget / lr_norm(wp, float(der.forcing_index)))
-    return u0, ForcingSpec.from_profile(wp)
+    return u0, ForcingSpec(wp)
 
 
 # shared supercritical configuration for criteria 6 and 9
@@ -148,7 +154,7 @@ def test_criterion_04_ode_oracle_equivalence():
     err_a = abs(traj.t_star - 1.0)
     ok_a = traj.verdict is Verdict.BLEW_UP and err_a <= 0.02
 
-    w = ForcingSpec.from_profile(Field(g, np.ones(16)))
+    w = ForcingSpec(Field(g, np.ones(16)))
     traj2 = run(Field(g, np.zeros(16)), w, cfg)
     err_b = abs(traj2.t_star - BLOWUP_TIME_FORCED_SQRT) / BLOWUP_TIME_FORCED_SQRT
     ok_b = traj2.verdict is Verdict.BLEW_UP and err_b <= 0.02
@@ -165,14 +171,14 @@ def test_criterion_05_fujita_baseline():
     start = time.perf_counter()
     g = Grid(2, 8.0, 64)
     below = run(
-        make_bump(g, "gaussian", scale=0.5, amplitude=2.0),
+        data_profile(g, kind="gaussian", scale=0.5, amplitude=2.0),
         None,
         SolveConfig(params=Params(2, Fraction(3, 2), HALF), Tend=100.0),
     )
     ok_blow = below.verdict is Verdict.BLEW_UP
 
     above = run(
-        make_bump(g, "gaussian", scale=0.25, amplitude=1e-3),
+        data_profile(g, kind="gaussian", scale=0.25, amplitude=1e-3),
         None,
         SolveConfig(params=Params(2, 3, HALF), Tend=100.0),
     )
@@ -192,9 +198,9 @@ def test_criterion_06_dichotomy_desk_scale(super_setup):
     blow_ok = True
     tstars = []
     for scale in (1.0, 0.2, 0.05):
-        u0 = make_bump(g, "gaussian", scale=0.5, amplitude=UNIT_AMP_2D * scale)
-        w = ForcingSpec.from_profile(
-            make_bump(g, "gaussian", scale=0.5, amplitude=UNIT_AMP_2D * scale))
+        u0 = data_profile(g, kind="gaussian", scale=0.5, amplitude=UNIT_AMP_2D * scale)
+        w = ForcingSpec(
+            data_profile(g, kind="gaussian", scale=0.5, amplitude=UNIT_AMP_2D * scale))
         traj = run(u0, w, SolveConfig(params=params2, Tend=500.0))
         blow_ok = blow_ok and traj.verdict is Verdict.BLEW_UP
         tstars.append(traj.t_star)
@@ -216,9 +222,9 @@ def test_criterion_06_dichotomy_desk_scale(super_setup):
 def test_criterion_07_forced_blowup_positive_sigma():
     start = time.perf_counter()
     g = Grid(2, 8.0, 64)
-    w = ForcingSpec.from_profile(
-        make_bump(g, "gaussian", scale=0.5, amplitude=0.05 * UNIT_AMP_2D))
-    u0 = make_bump(g, "gaussian", scale=0.5, amplitude=0.0)
+    w = ForcingSpec(
+        data_profile(g, kind="gaussian", scale=0.5, amplitude=0.05 * UNIT_AMP_2D))
+    u0 = data_profile(g, kind="gaussian", scale=0.5, amplitude=0.0)
     traj = run(u0, w, SolveConfig(params=Params(2, 4, 1), Tend=1000.0))
     elapsed = time.perf_counter() - start
     ok = traj.verdict is Verdict.BLEW_UP and elapsed < 600.0
@@ -233,18 +239,17 @@ def test_criterion_08_certificate_scaling():
 
     g2 = Grid(2, 16.0, 256)
     w2 = unit_gaussian(g2, 0.25)
-    spec2 = ForcingSpec.from_profile(w2)
     ladder2 = [8.0, 16.0, 32.0, 64.0, 128.0]
     g3 = Grid(3, 16.0, 128)
-    spec3 = ForcingSpec.from_profile(unit_gaussian(g3, 0.25))
+    w3 = unit_gaussian(g3, 0.25)
     ladder3 = [32.0, 48.0, 64.0, 96.0, 128.0]
 
-    for N, p, spec, ladder in (
-        (2, 2.0, spec2, ladder2),
-        (3, 2.0, spec3, ladder3),
-        (3, 3.0, spec3, ladder3),
+    for N, p, w, ladder in (
+        (2, 2.0, w2, ladder2),
+        (3, 2.0, w3, ladder3),
+        (3, 3.0, w3, ladder3),
     ):
-        rep = cert.blowup_certificate(spec, Params(N, p, HALF), cut, ladder)
+        rep = certify(w, Params(N, p, HALF), cut, ladder)
         exp = rep.expected_slopes
         f_err = abs(rep.slopes["forcing"] - exp["forcing"]) / abs(exp["forcing"])
         i1_err = abs(rep.slopes["I1"] - exp["I1"]) / max(1.0, abs(exp["I1"]))
@@ -256,7 +261,7 @@ def test_criterion_08_certificate_scaling():
     # contradiction flips exactly where N/2 - sigma - p/(p-1) changes sign
     flips_ok = True
     for p in (2.0, 2.5, 3.5, 4.0):
-        rep = cert.blowup_certificate(spec2, Params(2, p, HALF), cut, ladder2)
+        rep = certify(w2, Params(2, p, HALF), cut, ladder2)
         expect_contra = (1.0 + 0.5 - p / (p - 1.0)) < 0
         flips_ok = flips_ok and (rep.verdict == "CONTRADICTION") == expect_contra
     elapsed = time.perf_counter() - start

@@ -7,7 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from _oracles import certificate_space_factors_on_grid, grid_r2, shells_by_full_index
+from _oracles import (
+    certificate_space_factors_on_grid,
+    certify,
+    field_slabs,
+    grid_r2,
+    shells_by_full_index,
+)
 from critex.certificate import (
     _MU_FLOOR,
     Shells,
@@ -20,10 +26,19 @@ from critex.certificate import (
     time_factor_dissipation,
     time_factor_forcing,
     time_factor_plain,
+    stream_forcing,
     young_constant,
 )
 from critex.exponents import Params
-from critex.field import Field, ForcingSpec, Grid, make_bump
+from critex.field import (
+    Field,
+    Grid,
+    data_profile,
+    field_fingerprint,
+    integral,
+    profile_slabs,
+    write_snapshot,
+)
 
 HALF = Fraction(-1, 2)
 CUT = default_cutoffs()
@@ -31,7 +46,7 @@ CUT = default_cutoffs()
 
 def unit_mass_forcing(grid, a=0.25):
     amp = (4.0 * math.pi * a) ** (-grid.N / 2.0)
-    return ForcingSpec.from_profile(make_bump(grid, "gaussian", scale=a, amplitude=amp))
+    return data_profile(grid, kind="gaussian", scale=a, amplitude=amp)
 
 
 def test_cutoff_shapes():
@@ -78,8 +93,8 @@ def test_fixed_scale_rejected_when_cutoff_rescales():
     w = unit_mass_forcing(Grid(2, 16.0, 64))
     for sigma in (HALF, Fraction(0)):
         with pytest.raises(ValueError, match="R_length"):
-            blowup_certificate(w, Params(2, 2, sigma), CUT, [8.0, 16.0], R=3.0)
-    rep = blowup_certificate(w, Params(2, 3, Fraction(1)), CUT, [8.0, 16.0], R=3.0)
+            certify(w, Params(2, 2, sigma), CUT, [8.0, 16.0], R=3.0)
+    rep = certify(w, Params(2, 3, Fraction(1)), CUT, [8.0, 16.0], R=3.0)
     assert rep.mode == "fixed-space"
 
 
@@ -87,7 +102,7 @@ def _shell_test_data(grid, kind):
     if kind == "random":
         return np.random.default_rng(7).standard_normal(grid.shape)
     scale = {"gaussian": 0.25, "compact_bump": 3.0}[kind]
-    return make_bump(grid, kind, scale=scale).values
+    return data_profile(grid, kind=kind, scale=scale).values
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "compact_bump", "random"])
@@ -100,7 +115,39 @@ def test_shells_match_full_index(N, n, kind):
     shells = Shells.of(grid)
     assert np.array_equal(shells.occupied, occupied)
     assert np.array_equal(shells.count, count)
-    assert np.array_equal(shells.sum(values), sums)
+    slabs = [values[rows] for rows in grid.slab_rows()]
+    assert np.array_equal(stream_forcing(shells, slabs)[0], sums)
+
+
+STREAM_CASES = {
+    "gaussian": dict(kind="gaussian", scale=0.3, amplitude=0.7, center=(0.6, -1.1, 0.35)),
+    "compact_bump": dict(kind="compact_bump", scale=2.5, center=(-0.4, 0.8, 0.15)),
+    "constant": dict(kind="constant", amplitude=0.3),
+    "snapshot": dict(path=True),
+    "snapshot_half": dict(path=True, factor=0.5),
+    "gaussian_half": dict(kind="gaussian", scale=0.3, factor=0.5),
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+@pytest.mark.parametrize("N, n", [(N, n) for N in (1, 2, 3) for n in (8, 64, 128)])
+def test_streamed_forcing_matches_the_whole_field(tmp_path, N, n, case):
+    # one pass over the slabs gives the shell sums, mass and fingerprint of
+    # the Field that data_profile makes, bit for bit
+    g = Grid(N, 4.0, n)
+    args = dict(STREAM_CASES[case])
+    if "center" in args:
+        args["center"] = args["center"][:N]
+    if args.get("path"):
+        args["path"] = tmp_path / "w.field"
+        write_snapshot(Field(g, np.random.default_rng(n).standard_normal(g.shape)),
+                       args["path"])
+    w = data_profile(g, **args)
+    shells = Shells.of(g)
+    w_shells, mass, fingerprint = stream_forcing(shells, profile_slabs(g, **args))
+    assert np.array_equal(w_shells, shells_by_full_index(g, w.values)[2])
+    assert mass == integral(w)
+    assert fingerprint == field_fingerprint(w)
 
 
 def test_shells_sum_rejects_wrong_shape():
@@ -108,8 +155,9 @@ def test_shells_sum_rejects_wrong_shape():
     shells = Shells.of(grid)
     # same size, or a size divisible by n: a reshape alone would accept both
     for shape in ((32 * 32,), (16, 64), (32, 64), (32, 32, 1)):
+        slabs = [np.ones(shape)[rows] for rows in grid.slab_rows()]
         with pytest.raises(ValueError, match="shape"):
-            shells.sum(np.ones(shape))
+            stream_forcing(shells, slabs)
 
 
 @pytest.mark.parametrize("sigma", [HALF, -HALF], ids=str)
@@ -117,13 +165,16 @@ def test_certificate_peak_memory_below_half_the_field(sigma):
     # no grid-sized index or weighted copy: the traced peak stays far below w
     g = Grid(3, 16.0, 128)
     w = unit_mass_forcing(g)
+    shells = Shells.of(g)
+    w_shells, mass, _ = stream_forcing(shells, field_slabs(w))
     tracemalloc.start()
     try:
-        blowup_certificate(w, Params(3, 2, sigma), CUT, [32.0, 64.0, 128.0])
+        blowup_certificate(shells, w_shells, mass, Params(3, 2, sigma), CUT,
+                           [32.0, 64.0, 128.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    field_bytes = w.profile.values.nbytes
+    field_bytes = w.values.nbytes
     assert peak < 0.5 * field_bytes, peak / field_bytes
 
 
@@ -139,23 +190,23 @@ def test_forcing_functional_scaling_and_threshold():
     g = Grid(2, 16.0, 256)
     w = unit_mass_forcing(g)
     params = Params(2, 2, HALF)
-    rep = blowup_certificate(w, params, CUT, [32.0, 128.0])
+    rep = certify(w, params, CUT, [32.0, 128.0])
     # normalized by T^(sigma+1) the functional is T-independent
     n32 = rep.forcing[0] / 32.0**0.5
     n128 = rep.forcing[1] / 128.0**0.5
     assert abs(n32 - n128) / n128 < 1e-3
     # the space factor passes the half-mass threshold at large T
     space = rep.forcing[1] / (128.0**0.5 * time_factor_forcing(params, CUT))
-    assert space >= 0.5 * w.mass
+    assert space >= 0.5 * integral(w)
     assert rep.threshold_ok[1]
     # odd (mass-zero) forcing: space factor vanishes as T covers the support
     x = g.axis()
     odd_vals = np.sin(math.pi * x / g.L)[:, None] * np.exp(
         -grid_r2(g) / 4.0
     ) / (4.0 * math.pi)
-    odd = ForcingSpec.from_profile(Field(g, odd_vals))
-    assert abs(odd.mass) < 1e-12
-    f_odd = blowup_certificate(odd, params, CUT, [32.0, 128.0]).forcing[1]
+    odd = Field(g, odd_vals)
+    assert abs(integral(odd)) < 1e-12
+    f_odd = certify(odd, params, CUT, [32.0, 128.0]).forcing[1]
     assert abs(f_odd) <= 1e-10 * rep.forcing[1]
 
 
@@ -163,7 +214,7 @@ def test_dissipation_slopes():
     g = Grid(2, 16.0, 256)
     params = Params(2, 2, HALF)
     Ts = [8.0, 16.0, 32.0, 64.0, 128.0]
-    rep = blowup_certificate(unit_mass_forcing(g), params, CUT, Ts)
+    rep = certify(unit_mass_forcing(g), params, CUT, Ts)
     i1s, i2s = list(rep.I1), list(rep.I2)
     s1 = np.polyfit(np.log(Ts), np.log(i1s), 1)[0]
     s2 = np.polyfit(np.log(Ts), np.log(i2s), 1)[0]
@@ -177,7 +228,7 @@ def test_dissipation_slope_value_n3_p2():
     g = Grid(3, 16.0, 128)
     params = Params(3, 2, HALF)
     Ts = [32.0, 64.0, 128.0]
-    i1s = blowup_certificate(unit_mass_forcing(g), params, CUT, Ts).I1
+    i1s = certify(unit_mass_forcing(g), params, CUT, Ts).I1
     slope = np.polyfit(np.log(Ts), np.log(i1s), 1)[0]
     assert abs(slope - 0.5) <= 0.05  # 1 + 3/2 - 2
 
@@ -236,12 +287,12 @@ def test_space_factors_match_grid_oracle(cut):
     params = Params(2, Fraction(5, 2), HALF)
     T = 128.0
     mu = build_phi(T, params, cut, shells)
-    for w in (make_bump(g, "gaussian", scale=0.25),
-              make_bump(g, "compact_bump", scale=3.0)):
+    for w in (data_profile(g, kind="gaussian", scale=0.25),
+              data_profile(g, kind="compact_bump", scale=3.0)):
         mu_int, forcing, diss = certificate_space_factors_on_grid(
             w.values, g, T, 5.0 / 3.0, cut.xi, _MU_FLOOR)
         assert mu.integral() == pytest.approx(mu_int, rel=1e-13, abs=0.0)
-        assert mu.against(shells.sum(w.values)) == pytest.approx(forcing, rel=1e-13,
+        assert mu.against(stream_forcing(shells, field_slabs(w))[0]) == pytest.approx(forcing, rel=1e-13,
                                                                  abs=0.0)
         assert mu.dissipation(params) == pytest.approx(diss, rel=1e-4, abs=0.0)
 
@@ -254,7 +305,7 @@ def test_fitted_slopes_on_coarse_3d_grid(cut, p):
     # Laplacian of mu read slope errors up to -4.6 here
     g = Grid(3, 16.0, 128)
     ladder = [32.0 * 2.0 ** (k / 2.0) for k in range(5)]
-    rep = blowup_certificate(unit_mass_forcing(g), Params(3, p, HALF), cut, ladder)
+    rep = certify(unit_mass_forcing(g), Params(3, p, HALF), cut, ladder)
     for key, expected in rep.expected_slopes.items():
         assert abs(rep.slopes[key] - expected) <= 0.01, key
 
@@ -264,26 +315,26 @@ def test_certificate_verdicts_by_regime():
     w = unit_mass_forcing(g)
     ladder = [8.0, 16.0, 32.0, 64.0, 128.0]
     # subcritical: bound ~ T^(-1/2), contradiction
-    rep = blowup_certificate(w, Params(2, 2, HALF), CUT, ladder)
+    rep = certify(w, Params(2, 2, HALF), CUT, ladder)
     assert rep.verdict == "CONTRADICTION"
     assert rep.slopes["bound"] == pytest.approx(-0.5, abs=0.05)
     # per-T flags fire exactly where the decaying bound undercuts the mass
     # (the bound does not depend on w, so a heavy forcing crosses on-ladder)
-    heavy = ForcingSpec.from_profile(w.profile.scaled(2.0 * rep.bound[-1]))
-    rep_heavy = blowup_certificate(heavy, Params(2, 2, HALF), CUT, ladder)
+    heavy = w.scaled(2.0 * rep.bound[-1])
+    rep_heavy = certify(heavy, Params(2, 2, HALF), CUT, ladder)
     assert bool(rep_heavy.contradiction_at[-1])
     assert np.array_equal(rep_heavy.contradiction_at,
-                          rep_heavy.bound < heavy.mass)
+                          rep_heavy.bound < integral(heavy))
     # supercritical in 3-D: exponent +1/2, no contradiction at any T
     g3 = Grid(3, 16.0, 128)
     w3 = unit_mass_forcing(g3)
-    rep3 = blowup_certificate(w3, Params(3, 3, HALF), CUT,
+    rep3 = certify(w3, Params(3, 3, HALF), CUT,
                               [32.0, 64.0, 128.0])
     assert rep3.verdict == "NO_CONTRADICTION"
     assert not rep3.contradiction_at.any()
     assert rep3.slopes["bound"] == pytest.approx(0.5, abs=0.05)
     # positive sigma: fixed spatial scale, bound sinks below the mass
-    rep_pos = blowup_certificate(w, Params(2, 3, Fraction(1, 1)), CUT,
+    rep_pos = certify(w, Params(2, 3, Fraction(1, 1)), CUT,
                                  [10.0, 100.0, 1000.0, 10000.0])
     assert rep_pos.mode == "fixed-space"
     assert rep_pos.verdict == "CONTRADICTION"
@@ -296,7 +347,7 @@ def test_verdict_independent_of_cutoffs():
     ladder = [8.0, 16.0, 32.0, 64.0, 128.0]
     for p in (2.0, 2.5, 3.5, 4.0):
         reps = [
-            blowup_certificate(w, Params(2, p, HALF), cut, ladder)
+            certify(w, Params(2, p, HALF), cut, ladder)
             for cut in (default_cutoffs(), steep_cutoffs())
         ]
         assert reps[0].verdict == reps[1].verdict
@@ -308,7 +359,7 @@ def test_verdict_flips_with_exponent_sign():
     w = unit_mass_forcing(g)
     ladder = [8.0, 16.0, 32.0, 64.0, 128.0]
     for p in (2.0, 2.5, 3.5, 4.0):
-        rep = blowup_certificate(w, Params(2, p, HALF), CUT, ladder)
+        rep = certify(w, Params(2, p, HALF), CUT, ladder)
         expect = 1.0 + 0.5 - p / (p - 1.0)
         assert (rep.verdict == "CONTRADICTION") == (expect < 0)
 
@@ -316,7 +367,7 @@ def test_verdict_flips_with_exponent_sign():
 def test_csv_layout():
     g = Grid(2, 16.0, 128)
     w = unit_mass_forcing(g)
-    rep = blowup_certificate(w, Params(2, 2, HALF), CUT, [8.0, 16.0, 32.0])
+    rep = certify(w, Params(2, 2, HALF), CUT, [8.0, 16.0, 32.0])
     text = rep.csv()
     lines = text.splitlines()
     assert lines[0] == "T,forcing,I1,I2,bound,verdict"
@@ -333,7 +384,7 @@ def test_young_constant_and_time_factor():
     with pytest.raises(ValueError, match="degenerate"):
         bad = dataclasses.replace(
             zero_cut, eta=lambda s: np.zeros_like(np.asarray(s, dtype=float)), label="zero")
-        blowup_certificate(unit_mass_forcing(g), Params(2, 2, HALF), bad, [16.0, 32.0])
+        certify(unit_mass_forcing(g), Params(2, 2, HALF), bad, [16.0, 32.0])
 
 
 def _time_factor_mp(factor, power, p, sigma):

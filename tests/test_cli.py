@@ -301,20 +301,94 @@ def test_certificate_degenerate_ladder_rejected(tmp_path, ladder, message):
 
 
 def test_certificate_builds_only_the_forcing(tmp_path, monkeypatch, capsys):
-    # an absent u0 would default to a full-grid Gaussian the certificate never reads
-    built = []
+    # an absent u0 would default to a full-grid Gaussian the certificate never
+    # reads, and w is streamed: no Field is built at all
+    streamed = []
 
     def recording(grid, **args):
-        built.append(args)
+        streamed.append(args)
         return real(grid, **args)
 
-    real = cli.data_profile
-    monkeypatch.setattr(cli, "data_profile", recording)
+    def refuse(grid, **args):
+        raise AssertionError(f"certificate built a whole profile: {args}")
+
+    real = cli.profile_slabs
+    monkeypatch.setattr(cli, "profile_slabs", recording)
+    monkeypatch.setattr(cli, "data_profile", refuse)
     cfg = tmp_path / "cert.ini"
     cfg.write_text(CERT_CFG)
     assert main(["certificate", str(cfg)]) == 0
-    assert built == [{"kind": "gaussian", "scale": 0.25,
-                      "amplitude": 0.3183098861837907}]
+    assert streamed == [{"kind": "gaussian", "scale": 0.25,
+                         "amplitude": 0.3183098861837907}]
+
+
+SNAPSHOT_CERT_CFG = """\
+[params]
+N = 1
+p = 2
+sigma = -0.5
+
+[grid]
+L_length = 16.0
+n = 64
+
+[data]
+w_file = {path}
+
+[certificate]
+T_ladder_time = 8, 16, 32
+"""
+
+
+def _snapshot_bytes(header, values):
+    import numpy as np
+
+    return header.encode("ascii") + np.asarray(values, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_snapshot_bytes("CRITEX-FIELD v1 N=1 n=64\n", [0.0] * 64), "lacks L"),
+    (_snapshot_bytes("CRITEX-FIELD v1 N=1 L=16 n=64\n", [0.0] * 65), "8 bytes beyond"),
+    (_snapshot_bytes("CRITEX-FIELD v1 N=1 L=16 n=64\n", [0.0] * 63), "truncated"),
+    (_snapshot_bytes("CRITEX-FIELD v1 N=1 L=16 n=64\n", [1.0] * 40 + [float("nan")] * 24),
+     "finite"),
+], ids=["missing-key", "trailing-bytes", "short-payload", "nan-payload"])
+def test_certificate_bad_snapshot_exits_2(tmp_path, capsys, payload, message):
+    # a snapshot is checked as it is streamed: header, length and values
+    path = tmp_path / "w.field"
+    path.write_bytes(payload)
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(SNAPSHOT_CERT_CFG.format(path=path))
+    assert main(["certificate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err, err
+    if message != "finite":
+        assert str(path) in err
+
+
+@pytest.mark.parametrize("sigma", ["-1/2", "1/2"])
+def test_certificate_cli_peak_memory_below_a_quarter_of_the_field(tmp_path, sigma):
+    # the 128^3 forcing (16.8 MB) is streamed; the whole command, manifest
+    # and CSV included, stays under a quarter of it
+    import tracemalloc
+
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(
+        f"[params]\nN = 3\np = 2\nsigma = {sigma}\n\n"
+        "[grid]\nL_length = 16.0\nn = 128\n\n"
+        "[data]\nw_kind = gaussian\nw_scale_length2 = 0.25\n"
+        f"w_amplitude_value = {(4.0 * 3.141592653589793 * 0.25) ** -1.5!r}\n\n"
+        "[certificate]\nT_ladder_time = 32, 64, 128\n")
+    argv = ["certificate", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = 8 * 128**3
+    assert peak < 0.25 * field_bytes, peak / field_bytes
 
 
 def test_seed_profile_override(tmp_path):

@@ -19,8 +19,8 @@ from critex.field import (
     ForcingSpec,
     Grid,
     boundary_shell_fraction,
+    data_profile,
     lr_norm,
-    make_bump,
 )
 from critex.semigroup import Propagator
 
@@ -135,7 +135,7 @@ def test_forced_substep_is_a_strang_step():
     sigma, p, t0 = -0.4, 3.0, 0.5
     params = Params(1, 3, "-0.4")
     for v0, c in ((-0.5, 0.2), (0.3, 1.0)):
-        w = ForcingSpec.from_profile(const_field(g, c))
+        w = ForcingSpec(const_field(g, c))
         errs = []
         for dt in (0.04, 0.02, 0.01):
             ref = solve_ivp(lambda t, y: np.abs(y) ** p + t**sigma * c, (t0, t0 + dt), [v0],
@@ -194,7 +194,7 @@ def test_umax_crossing_does_not_depend_on_tolerance():
     # default tolerance agrees with a run at tol_step = 1e-9, although the
     # last accepted steps of the two runs land at different times
     g = Grid(2, 8.0, 64)
-    u0 = make_bump(g, "gaussian", scale=0.5, amplitude=2.0)
+    u0 = data_profile(g, kind="gaussian", scale=0.5, amplitude=2.0)
     params = Params(2, Fraction(3, 2), HALF)
     coarse = run(u0, None, SolveConfig(params=params, Tend=100.0))
     fine = run(u0, None, SolveConfig(params=params, Tend=100.0, tol_step=1e-9))
@@ -231,7 +231,7 @@ def test_constant_blowup_time_unforced():
 def test_constant_blowup_time_forced_singular():
     # u0 = 0, w = 1, sigma = -1/2, p = 2: frozen oracle value
     g = small_grid()
-    w = ForcingSpec.from_profile(const_field(g, 1.0))
+    w = ForcingSpec(const_field(g, 1.0))
     cfg = SolveConfig(params=Params(1, 2, HALF), Tend=2.0)
     traj = run(const_field(g, 0.0), w, cfg)
     assert traj.verdict is Verdict.BLEW_UP
@@ -246,7 +246,7 @@ def test_spatially_uniform_reduction_matches_ode():
     # constant data stays constant in space and tracks the reference ODE
     g = Grid(2, 2.0, 16)
     params = Params(2, 3, Fraction(1, 2))
-    w = ForcingSpec.from_profile(const_field(g, 0.3))
+    w = ForcingSpec(const_field(g, 0.3))
     cfg = SolveConfig(params=params, Tend=0.5, record_times=(0.25, 0.5))
     traj = run(const_field(g, 0.2), w, cfg)
     assert traj.verdict is Verdict.REACHED_HORIZON
@@ -262,8 +262,8 @@ def test_pure_forcing_linear_mode():
     # nonlinearity off: u(t) = int_0^t s^sigma e^{(t-s)D} w ds
     g = Grid(1, 4.0, 64)
     params = Params(1, 2, HALF)
-    w_field = make_bump(g, "gaussian", scale=0.2, amplitude=1.0)
-    w = ForcingSpec.from_profile(w_field)
+    w_field = data_profile(g, kind="gaussian", scale=0.2, amplitude=1.0)
+    w = ForcingSpec(w_field)
     t_end = 0.5
     cfg = SolveConfig(params=params, Tend=t_end, nonlinear=False,
                       record_times=(t_end,), tol_step=1e-9)
@@ -278,7 +278,7 @@ def test_linear_forced_run_is_exact(monkeypatch):
     # L, so full and fine agree to roundoff, no trial is rejected, dt_max
     # sets the step, and the result is the forcing integral from QUADPACK
     g = Grid(1, 4.0, 64)
-    w_field = make_bump(g, "gaussian", scale=0.2, amplitude=1.0)
+    w_field = data_profile(g, kind="gaussian", scale=0.2, amplitude=1.0)
     t_end = 0.5
     cfg = SolveConfig(params=Params(1, 2, HALF), Tend=t_end, nonlinear=False,
                       record_times=(t_end,))
@@ -290,7 +290,7 @@ def test_linear_forced_run_is_exact(monkeypatch):
         return trial(self, spec, t0, dt)
 
     monkeypatch.setattr(Stepper, "trial", counted)
-    traj = run(Field(g, np.zeros(g.shape)), ForcingSpec.from_profile(w_field), cfg)
+    traj = run(Field(g, np.zeros(g.shape)), ForcingSpec(w_field), cfg)
     got = traj.snapshot_at(t_end).values
     ref = forcing_field_quad(Propagator(g), w_field.values, t_end, -0.5)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -303,8 +303,8 @@ def test_heat_domination_comparison():
     # with u0, w >= 0 the solution dominates pure heat flow while it exists
     g = Grid(2, 6.0, 64)
     params = Params(2, 2, HALF)
-    u0 = make_bump(g, "gaussian", scale=0.5, amplitude=0.1)
-    w = ForcingSpec.from_profile(make_bump(g, "gaussian", scale=0.5, amplitude=0.05))
+    u0 = data_profile(g, kind="gaussian", scale=0.5, amplitude=0.1)
+    w = ForcingSpec(data_profile(g, kind="gaussian", scale=0.5, amplitude=0.05))
     t_end = 1.0
     cfg = SolveConfig(params=params, Tend=t_end, record_times=(t_end,))
     traj = run(u0, w, cfg)
@@ -315,7 +315,7 @@ def test_heat_domination_comparison():
 def test_self_convergence_on_global_run():
     g = Grid(2, 6.0, 32)
     params = Params(2, 3, HALF)
-    u0 = make_bump(g, "gaussian", scale=0.5, amplitude=1e-3)
+    u0 = data_profile(g, kind="gaussian", scale=0.5, amplitude=1e-3)
     final = {}
     for tol in (1e-6, 5e-7):
         cfg = SolveConfig(params=params, Tend=2.0, tol_step=tol,
@@ -328,8 +328,8 @@ def test_self_convergence_on_global_run():
 def test_determinism_bitwise():
     g = Grid(2, 4.0, 32)
     params = Params(2, 2, HALF)
-    u0 = make_bump(g, "gaussian", scale=0.3, amplitude=0.5)
-    w = ForcingSpec.from_profile(make_bump(g, "gaussian", scale=0.3, amplitude=0.2))
+    u0 = data_profile(g, kind="gaussian", scale=0.3, amplitude=0.5)
+    w = ForcingSpec(data_profile(g, kind="gaussian", scale=0.3, amplitude=0.2))
     cfg = SolveConfig(params=params, Tend=1.0)
     t1 = run(u0, w, cfg)
     t2 = run(u0, w, cfg)
@@ -342,8 +342,8 @@ def _split_run_case():
     g = Grid(1, 4.0, 32)
     params = Params(1, 2, HALF)
     # u0 touches the box face, so the boundary fraction peaks before T1
-    u0 = make_bump(g, "compact_bump", center=(3.0,), scale=1.0, amplitude=1.0)
-    w = ForcingSpec.from_profile(make_bump(g, "gaussian", scale=0.3, amplitude=0.5))
+    u0 = data_profile(g, kind="compact_bump", center=(3.0,), scale=1.0, amplitude=1.0)
+    w = ForcingSpec(data_profile(g, kind="gaussian", scale=0.3, amplitude=0.5))
     return params, u0, w
 
 
@@ -381,12 +381,12 @@ def test_continuation_rejects_bad_input():
     with pytest.raises(ValueError, match="params"):
         run(first, w, SolveConfig(params=Params(1, 3, HALF), Tend=1.0))
     with pytest.raises(ValueError, match="forcing"):
-        run(first, ForcingSpec.from_profile(w.profile.scaled(2.0)), later)
+        run(first, ForcingSpec(w.profile.scaled(2.0)), later)
     with pytest.raises(ValueError, match="forcing"):
         run(first, None, later)
-    other = make_bump(Grid(1, 4.0, 64), "gaussian", scale=0.3, amplitude=0.5)
+    other = data_profile(Grid(1, 4.0, 64), kind="gaussian", scale=0.3, amplitude=0.5)
     with pytest.raises(ValueError, match="grid"):
-        run(first, ForcingSpec.from_profile(other), later)
+        run(first, ForcingSpec(other), later)
     blown = run(u0, w, SolveConfig(params=params, Tend=3.0))
     assert blown.verdict is Verdict.BLEW_UP
     with pytest.raises(ValueError, match="BlewUpAt"):
@@ -401,8 +401,8 @@ def test_continuation_rejects_bad_input():
 
 def _rough_data():
     g = Grid(2, 4.0, 32)
-    u0 = make_bump(g, "compact_bump", center=(0.5, -0.25), scale=1.5, amplitude=1.0)
-    w = make_bump(g, "compact_bump", center=(-0.5, 0.0), scale=1.0, amplitude=0.5)
+    u0 = data_profile(g, kind="compact_bump", center=(0.5, -0.25), scale=1.5, amplitude=1.0)
+    w = data_profile(g, kind="compact_bump", center=(-0.5, 0.0), scale=1.0, amplitude=0.5)
     return g, u0, w
 
 
@@ -442,7 +442,7 @@ def test_extrapolated_step_is_fourth_order():
     # of h, the fine value of the same trials alone about 2^2
     g, u0, w = _rough_data()
     params = Params(2, 3, HALF)
-    forcing = ForcingSpec.from_profile(w)
+    forcing = ForcingSpec(w)
     T1, T2 = 0.3, 0.5
     loose = dict(params=params, tol_step=1e3)
     first = run(u0, forcing, SolveConfig(Tend=T1, dt0=T1, **loose))
@@ -487,7 +487,7 @@ def test_step_is_one_propagated_strang_step(t0):
     # physical L N L step
     g, u0, w = _rough_data()
     params = Params(2, 3, HALF)
-    got = step(u0, t0, 0.1, params, ForcingSpec.from_profile(w))
+    got = step(u0, t0, 0.1, params, ForcingSpec(w))
     stepper = Stepper(g, params, w.values)
     full, _, _, _ = stepper.trial(stepper.prop.to_spectrum(u0.values), t0, 0.1)
     assert np.array_equal(got.values, full)
@@ -500,7 +500,7 @@ def test_recorded_norms_are_field_norms():
     # the recorded series are the field-level norms of the accepted fields
     g, u0, w = _rough_data()
     params = Params(2, 3, HALF)
-    traj = run(u0, ForcingSpec.from_profile(w),
+    traj = run(u0, ForcingSpec(w),
                SolveConfig(params=params, Tend=0.2, snapshot_every=1))
     assert traj.d >= 1.0 and len(traj.snapshots) == traj.times.size > 10
     boundary = []
@@ -520,7 +520,7 @@ def test_recorded_norms_are_field_norms():
 def test_constant_data_not_boundary_flagged(c):
     # spatially constant data are exact on the torus: no truncation alarm
     g = Grid(2, 2.0, 16)
-    w = ForcingSpec.from_profile(const_field(g, 0.3))
+    w = ForcingSpec(const_field(g, 0.3))
     traj = run(const_field(g, c), w,
                SolveConfig(params=Params(2, 2, Fraction(1, 2)), Tend=0.5))
     assert traj.verdict is Verdict.REACHED_HORIZON and traj.linf[-1] > c
@@ -567,7 +567,7 @@ def test_heat_only_weighted_series_bounded():
 
     g = Grid(2, 8.0, 64)
     params = Params(2, 4, HALF)
-    u0 = make_bump(g, "gaussian", scale=0.25, amplitude=0.5)
+    u0 = data_profile(g, kind="gaussian", scale=0.25, amplitude=0.5)
     cfg = SolveConfig(params=params, Tend=5.0, nonlinear=False)
     traj = run(u0, None, cfg)
     _, _, sup = weighted_norm_series(traj, traj.beta, traj.q)
@@ -590,7 +590,7 @@ def test_blowup_weighted_norm_exceeds_any_ball():
 def test_fujita_small_data_decays():
     g = Grid(2, 8.0, 64)
     params = Params(2, 3, HALF)  # above the unforced threshold 2
-    u0 = make_bump(g, "gaussian", scale=0.25, amplitude=1e-3)
+    u0 = data_profile(g, kind="gaussian", scale=0.25, amplitude=1e-3)
     cfg = SolveConfig(params=params, Tend=20.0)
     traj = run(u0, None, cfg)
     assert traj.verdict is Verdict.REACHED_HORIZON
@@ -611,6 +611,6 @@ def test_invalid_inputs():
     with pytest.raises(ValueError, match="dt_max"):
         SolveConfig(params=Params(1, 2, HALF), Tend=1.0, dt_max=0.0)
     other = Grid(1, 2.0, 16)
-    w = ForcingSpec.from_profile(const_field(other, 1.0))
+    w = ForcingSpec(const_field(other, 1.0))
     with pytest.raises(ValueError, match="grid"):
         run(const_field(g, 1.0), w, SolveConfig(params=Params(1, 2, HALF), Tend=1.0))

@@ -6,7 +6,7 @@ import pytest
 
 from critex.evolve import SolveConfig, run
 from critex.exponents import Params, derive, picard_smallness
-from critex.field import Field, ForcingSpec, Grid, lr_norm, make_bump
+from critex.field import Field, ForcingSpec, Grid, data_profile, lr_norm
 from critex.picard import (
     SolutionMap,
     audit_estimates,
@@ -38,11 +38,11 @@ def budget_data(grid, params=PARAMS, q=Q, cstar=None, fraction=0.25):
     der = derive(params)
     cstar = cstar if cstar is not None else measure_cstar(grid, params, q, 10.0)
     _, budget = picard_smallness(params, q, cstar)
-    u0 = make_bump(grid, "gaussian", scale=0.25, amplitude=1.0)
-    w_prof = make_bump(grid, "gaussian", scale=0.25, amplitude=1.0)
+    u0 = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
+    w_prof = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
     u0 = u0.scaled(fraction * budget / lr_norm(u0, float(der.data_index)))
     w_prof = w_prof.scaled(fraction * budget / lr_norm(w_prof, float(der.forcing_index)))
-    return u0, ForcingSpec.from_profile(w_prof), cstar
+    return u0, ForcingSpec(w_prof), cstar
 
 
 def test_beta_function_values():
@@ -94,7 +94,7 @@ def test_forcing_term_matches_duhamel_oracle():
     g = Grid(2, 8.0, 32)
     times = geometric_ladder(2.0, 12)
     zero = Field(g, np.zeros(g.shape))
-    w = ForcingSpec.from_profile(make_bump(g, "gaussian", scale=0.3, amplitude=0.5))
+    w = ForcingSpec(data_profile(g, kind="gaussian", scale=0.3, amplitude=0.5))
     op = SolutionMap(zero, w, PARAMS, Q, times)
     u = op.free_only()
     out = op.apply(u)
@@ -111,8 +111,8 @@ def test_nonlinear_term_matches_propagation_oracle():
     # application per node; j = 4, 5 are the first rungs whose sum is carried
     # from the rung below with the running weights (even and odd rule)
     g = Grid(2, 8.0, 64)
-    u0 = make_bump(g, "compact_bump", scale=0.5, amplitude=1.0)
-    w = ForcingSpec.from_profile(make_bump(g, "compact_bump", scale=0.2, amplitude=1.0))
+    u0 = data_profile(g, kind="compact_bump", scale=0.5, amplitude=1.0)
+    w = ForcingSpec(data_profile(g, kind="compact_bump", scale=0.2, amplitude=1.0))
     times = geometric_ladder(10.0, 128)
     op = SolutionMap(u0, w, PARAMS, Q, times)
     u = op.apply(op.free_only())
@@ -189,7 +189,7 @@ def test_forcing_term_exact_on_rough_data(scale):
     g = Grid(2, 8.0, 64)
     times = geometric_ladder(10.0, 64)
     zero = Field(g, np.zeros(g.shape))
-    w = ForcingSpec.from_profile(make_bump(g, "compact_bump", scale=scale, amplitude=1.0))
+    w = ForcingSpec(data_profile(g, kind="compact_bump", scale=scale, amplitude=1.0))
     op = SolutionMap(zero, w, PARAMS, Q, times)
     out = op.apply(op.free_only())
     prop = Propagator(g)
@@ -203,7 +203,7 @@ def test_sup_smoothing_ratio_matches_per_time_propagation():
     # one forward transform per probe gives the constant of the per-time
     # heat applications bit for bit, on rough data and every index pair used
     g = Grid(2, 8.0, 64)
-    probes = [make_bump(g, "compact_bump", scale=s, amplitude=1.0) for s in (0.2, 0.5, 2.0)]
+    probes = [data_profile(g, kind="compact_bump", scale=s, amplitude=1.0) for s in (0.2, 0.5, 2.0)]
     probes.append(Field(g, np.zeros(g.shape)))
     times = np.geomspace(1e-5, 10.0, 48)
     prop = Propagator(g)
@@ -215,8 +215,9 @@ def test_sup_smoothing_ratio_matches_per_time_propagation():
         if r_dst == 6.0:
             assert sup_smoothing_ratio(prop, probes, times, r_src, r_dst, heated) == got
     assert len(heated) == 3  # the zero probe is never heated
+    probe = data_profile(Grid(2, 8.0, 32), kind="compact_bump", scale=1.0)
     with pytest.raises(ValueError, match="grid"):
-        sup_smoothing_ratio(prop, [make_bump(Grid(2, 8.0, 32), "compact_bump")], times, 3.0, 6.0)
+        sup_smoothing_ratio(prop, [probe], times, 3.0, 6.0)
 
 
 def test_solution_map_validates_q_and_ladder():
@@ -299,7 +300,7 @@ def test_oversized_data_flagged():
     g = Grid(2, 8.0, 32)
     u0, w, cstar = budget_data(g)
     big_u0 = u0.scaled(100.0)
-    big_w = ForcingSpec.from_profile(w.profile.scaled(100.0))
+    big_w = ForcingSpec(w.profile.scaled(100.0))
     op = SolutionMap(big_u0, big_w, PARAMS, Q, geometric_ladder(5.0, 24))
     sol, diag = iterate_to_fixed_point(op, cstar=cstar, max_iter=12)
     assert diag.outside_guarantee

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from critex.field import Field, Grid, integral, lr_norm, make_bump
+from critex.field import Field, Grid, data_profile, integral, lr_norm
 from critex.semigroup import Propagator
 
 from _oracles import (
@@ -20,7 +20,7 @@ from _oracles import (
 
 def unit_gaussian(grid, a, center=None):
     amp = (4.0 * math.pi * a) ** (-grid.N / 2.0)
-    return make_bump(grid, "gaussian", center=center, scale=a, amplitude=amp)
+    return data_profile(grid, kind="gaussian", center=center, scale=a, amplitude=amp)
 
 
 def test_gaussian_to_gaussian():
@@ -146,7 +146,7 @@ def test_oracle_convolve_on_criteria_grid():
     # rough data on the 64^2 grid the acceptance criteria use, at times where
     # the sampled kernel is resolved (sqrt(t) above the spacing h = 0.25)
     g = Grid(2, 8.0, 64)
-    f = make_bump(g, "compact_bump", center=(1.0, -2.0), scale=2.0, amplitude=1.0)
+    f = data_profile(g, kind="compact_bump", center=(1.0, -2.0), scale=2.0, amplitude=1.0)
     for t in (0.2, 1.0, 5.0):
         direct = oracle_convolve(f, t)
         spectral = heat(Propagator(g), f, t)
