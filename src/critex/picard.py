@@ -7,14 +7,16 @@ The solution map
 
 is evaluated on a geometric time ladder and iterated inside the ball
 { sup_t t^beta ||u(t)||_q <= delta }.  The map works in Fourier space, where
-e^{tD} multiplies mode xi by exp(-t|xi|^2), and returns to the grid with one
-inverse transform per rung.  The free and forcing terms are fixed data; the
+e^{tD} multiplies mode xi by exp(-t|xi|^2).  At each rung the three terms
+are summed as half-spectra and brought back to the grid with one inverse
+transform, so the map holds no ladder of fields: only the spectra of u0
+and w and each rung's forcing multiplier on the distinct |xi|^2.  The
 forcing integral has the exact per-mode multiplier
-t^(sigma+1)/(sigma+1) 1F1(1; sigma+2; -t|xi|^2).  Each iteration only
-re-evaluates the nonlinear term, by fourth-order composite quadrature in
-log s over the ladder plus an analytic free-term approximation of the slice
-below the first rung: every |u_i|^p is transformed once, and the weighted
-sum over the rungs below t_j is carried up the ladder in Fourier space.
+t^(sigma+1)/(sigma+1) 1F1(1; sigma+2; -t|xi|^2).  The nonlinear term is
+evaluated by fourth-order composite quadrature in log s over the ladder
+plus an analytic free-term approximation of the slice below the first
+rung: every |u_i|^p is transformed once, and the weighted sum over the
+rungs below t_j is carried up the ladder in Fourier space.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .exponents import beta_rate, derive, picard_smallness
 from .field import Field, data_profile, lr_norm
-from .semigroup import Propagator
+from .semigroup import Propagator, forcing_multiplier
 
 
 def beta_function(a, b):
@@ -39,6 +41,8 @@ def beta_function(a, b):
 
 def geometric_ladder(tcap=10.0, rungs=64):
     """Geometric time ladder from 1e-6 * tcap to tcap."""
+    if not tcap > 0:
+        raise ValueError(f"tcap must be positive, got {tcap}")
     if rungs < 2:
         raise ValueError("need at least 2 rungs")
     return np.geomspace(tcap * 1e-6, tcap, rungs)
@@ -115,11 +119,15 @@ def _running_weights(count):
 
 
 class SolutionMap:
-    """The map S on one ladder, with the data-dependent terms precomputed.
+    """The map S on one ladder, with the spectra of the data precomputed.
 
-    q must lie in the admissible window; None takes its default.  Every term
-    is assembled mode by mode from real FFT spectra and brought back to the
-    grid with one inverse transform per rung.
+    q must lie in the admissible window; None takes its default.  S(u) at a
+    rung is one real FFT half-spectrum, nonlinear plus free plus forcing,
+    brought back to the grid with one inverse transform.  The free and
+    forcing multipliers are evaluated once per distinct |xi|^2 and gathered
+    to the modes: the forcing ones (1F1) once per map, the damping ones when
+    used.  The q-norms of the free and forcing terms, which the audit
+    reports, are taken here from fields that are not kept.
     """
 
     def __init__(self, u0, w, params, q, times):
@@ -146,31 +154,46 @@ class SolutionMap:
         self.u0 = u0
         self.w = w
         xi2 = self.prop.xi2
+        self._levels, self._where = self.prop.xi2_levels
 
-        u0_hat = self.prop.to_spectrum(u0.values)
-        self.free = [Field(grid, self.prop.from_spectrum(u0_hat * np.exp(-t * xi2)))
-                     for t in times]
-        self.forcing = self._forcing_terms()
+        self._u0_hat = self.prop.to_spectrum(u0.values)
+        self.free_norms = np.array([lr_norm(self._field(self._free_hat(j)), self.q)
+                                    for j in range(times.size)])
+        if w is None:
+            self._w_hat = None
+            self.forcing_norms = np.zeros(times.size)
+        else:
+            self._w_hat = self.prop.to_spectrum(w.profile.values)
+            self._forcing = [forcing_multiplier(t, self._levels, self.sigma) for t in times]
+            self.forcing_norms = np.array([lr_norm(self._field(self._forcing_hat(j)), self.q)
+                                           for j in range(times.size)])
         # midpoint rule on the slice [0, t0]: t0 e^{(t0/2)D} |e^{(t0/2)D} u0|^p,
         # the spectrum the nonlinear sum starts from at the first rung
         t0 = times[0]
         half_damp = np.exp(-0.5 * t0 * xi2)
-        half_pow = np.abs(self.prop.from_spectrum(u0_hat * half_damp)) ** self.p
+        half_pow = np.abs(self.prop.from_spectrum(self._u0_hat * half_damp)) ** self.p
         self._slice_hat = t0 * half_damp * self.prop.to_spectrum(half_pow)
 
-    def _forcing_terms(self):
-        """int_0^t s^sigma e^{(t-s)D} w ds at every rung, exactly per mode."""
-        if self.w is None:
-            zero = np.zeros(self.grid.shape)
-            return [zero for _ in self.times]
-        w_hat = self.prop.to_spectrum(self.w.profile.values)
-        return [
-            self.prop.from_spectrum(w_hat * self.prop.forcing_multiplier(t, self.sigma))
-            for t in self.times
-        ]
+    def _field(self, spec):
+        return Field(self.grid, self.prop.from_spectrum(spec))
+
+    def _free_hat(self, j):
+        """Half-spectrum of e^{t_j D} u0."""
+        return self._u0_hat * np.exp(-self.times[j] * self._levels)[self._where]
+
+    def _forcing_hat(self, j):
+        """Half-spectrum of int_0^{t_j} s^sigma e^{(t_j - s)D} w ds, exact per mode."""
+        return self._w_hat * self._forcing[j][self._where]
+
+    def data_spectrum(self, j):
+        """Half-spectrum of the free plus forcing terms at rung j."""
+        spec = self._free_hat(j)
+        if self._w_hat is not None:
+            spec += self._forcing_hat(j)
+        return spec
 
     def nonlinear_term(self, u):
-        """int_0^{t_j} e^{(t_j - s)D} |u(s)|^p ds at every rung, from ladder samples.
+        """int_0^{t_j} e^{(t_j - s)D} |u(s)|^p ds at every rung, as half-spectra.
 
         The quadrature sum over i <= j of w_ij e^{(t_j - t_i)D} |u_i|^p is
         kept in Fourier space.  Its part with the running Simpson weights is
@@ -186,7 +209,8 @@ class SolutionMap:
         out = []
         for j, (t, f) in enumerate(zip(times, u.fields)):
             if j:
-                acc *= np.exp(-(t - times[j - 1]) * xi2)
+                step = np.exp(-(t - times[j - 1]) * xi2)
+                acc *= step
             with np.errstate(over="ignore"):  # divergence is detected by the caller
                 spec = self.prop.to_spectrum(np.abs(f.values) ** self.p)
             acc += running[j] * spec
@@ -194,29 +218,30 @@ class SolutionMap:
             lo = j + 1 - len(recent)
             ends = _log_quad_weights(j, self.dy)[lo:] * times[lo : j + 1] - running[lo : j + 1]
             total = acc.copy()
-            for ti, c, sp in zip(times[lo : j + 1], ends, recent):
-                if c:
-                    total += c * np.exp(-(t - ti) * xi2) * sp
-            out.append(self.prop.from_spectrum(total))
+            for i, c, sp in zip(range(lo, j + 1), ends, recent):
+                if not c:
+                    continue
+                if i == j:  # e^{0 D}: c times an all-ones multiplier
+                    total += c * sp
+                else:
+                    damp = step if i == j - 1 else np.exp(-(t - times[i]) * xi2)
+                    total += c * damp * sp
+            out.append(total)
         return out
 
-    def term_fields(self, u):
-        """The three summands of S(u) at every rung (free, nonlinear, forcing)."""
-        nl = [Field(self.grid, v) for v in self.nonlinear_term(u)]
-        frc = [Field(self.grid, f) for f in self.forcing]
-        return self.free, nl, frc
-
     def apply(self, u):
+        spectra = self.nonlinear_term(u)
         fields = []
-        for v, free, forcing in zip(self.nonlinear_term(u), self.free, self.forcing):
-            v += free.values
-            v += forcing
-            fields.append(Field(self.grid, v))
+        for j in range(len(spectra)):
+            spec, spectra[j] = spectra[j], None  # released once on the grid
+            spec += self.data_spectrum(j)
+            fields.append(self._field(spec))
         return u.replace_fields(fields)
 
     def free_only(self, delta=math.inf):
         beta = float(beta_rate(self.params, self.q))
-        return LadderSolution(self.times, list(self.free), self.q, beta, delta)
+        fields = [self._field(self._free_hat(j)) for j in range(self.times.size)]
+        return LadderSolution(self.times, fields, self.q, beta, delta)
 
 
 def _bound_exponents(params, q):
@@ -353,6 +378,10 @@ def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
     params, q = op.params, op.q
     if delta is not None and not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     der = derive(params)
     if cstar is None:
         cstar = measure_cstar(op.grid, params, q, float(op.times[-1]))
@@ -479,13 +508,21 @@ def audit_estimates(u, op):
                 f"inside the q-window"
             )
 
-    free, nl, frc = op.term_fields(u)
-    tb = u.times**beta
-    measured_free = tb * np.array([lr_norm(f, q) for f in free])
-    measured_nl = tb * np.array([lr_norm(f, q) for f in nl])
-    measured_frc = tb * np.array([lr_norm(f, q) for f in frc])
-
+    # per rung, the nonlinear term and S(u) = nonlinear + free + forcing
+    # are each brought to the grid for their norms, one spectrum at a time
     prop = op.prop
+    spectra = op.nonlinear_term(u)
+    nl_norms, total = np.zeros(len(spectra)), np.zeros(len(spectra))
+    for j in range(len(spectra)):
+        spec, spectra[j] = spectra[j], None
+        nl_norms[j] = lr_norm(Field(u0.grid, prop.from_spectrum(spec)), q)
+        spec += op.data_spectrum(j)
+        total[j] = lr_norm(Field(u0.grid, prop.from_spectrum(spec)), q)
+    tb = u.times**beta
+    measured_free = tb * op.free_norms
+    measured_nl = tb * nl_norms
+    measured_frc = tb * op.forcing_norms
+
     dense = np.geomspace(u.times[0] / 2.0, u.times[-1], 96)
     base = default_probe_set(u0.grid)
     probes_free = base + [u0]
@@ -503,10 +540,6 @@ def audit_estimates(u, op):
     bound_nl = c1_nl * beta_function(a_nl, b_nl) * u.delta**p
     bound_frc = c1_frc * beta_function(a_frc, b_frc) * norm_w
 
-    total = np.array(
-        [lr_norm(Field(u0.grid, free[j].values + nl[j].values + frc[j].values), q)
-         for j in range(len(u.times))]
-    )
     denom = norm_u0 + u.delta**p + norm_w
     cstar_hat = float(np.max(tb * total) / denom) if denom > 0 else math.inf
 

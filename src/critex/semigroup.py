@@ -74,14 +74,16 @@ class Propagator:
         return self.from_spectrum(spec)
 
     @functools.cached_property
-    def _xi2_levels(self):
+    def xi2_levels(self):
+        """(levels, where): the distinct |xi|^2, ascending, and each mode's
+        index into them, so that levels[where] is xi2."""
         levels, where = np.unique(self._xi2.ravel(), return_inverse=True)
         return levels, where.reshape(self._xi2.shape)
 
     def forcing_multiplier(self, t, sigma):
         """`forcing_multiplier` on the half-spectrum, evaluated once per
         distinct |xi|^2 and expanded to the modes that share it."""
-        levels, where = self._xi2_levels
+        levels, where = self.xi2_levels
         return forcing_multiplier(t, levels, sigma)[where]
 
 

@@ -254,6 +254,40 @@ def test_picard_explicit_zero_rejected(tmp_path, line, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("line, message", [
+    ("Tcap_time = -1", "tcap"), ("Tcap_time = 0", "tcap"),
+    ("max_iter = 0", "max_iter"), ("tol = 0", "tol"), ("tol = -1", "tol"),
+])
+def test_picard_unusable_values_rejected(tmp_path, line, message):
+    # a ladder that cannot exist or an iteration that cannot converge is a
+    # config error, not a traceback or a non-converged run
+    cfg = tmp_path / "picard.ini"
+    cfg.write_text(PICARD_CFG.replace("Tcap_time = 5.0\n", "") + line + "\n")
+    res = run_cli(["picard", str(cfg)])
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert message in res.stderr, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_picard_cli_peak_memory_below_two_and_a_half_ladders(tmp_path):
+    # the map keeps no ladder of fields: u and the next iterate (or the
+    # nonlinear spectra) are the only grid-sized arrays per rung
+    import tracemalloc
+
+    cfg = tmp_path / "picard.ini"
+    cfg.write_text(PICARD_CFG.replace("rungs = 32", "rungs = 128"))
+    argv = ["picard", str(cfg)]
+    assert main(argv) == 0  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ladder_bytes = 128 * 64**2 * 8
+    assert peak < 2.5 * ladder_bytes, peak / ladder_bytes
+
+
 @pytest.mark.parametrize("command, base, line, message", [
     ("simulate", SIMPLE_SIM, "dt_max_time = 0", "dt_max"),
     ("certificate", CERT_CFG, "R_length = 0", "R must be positive"),

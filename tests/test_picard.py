@@ -25,6 +25,7 @@ from _oracles import (
     duhamel_forced_linear,
     forcing_field_quad,
     forcing_multiplier_quad,
+    heat,
     nonlinear_by_propagation,
     smoothing_ratio_by_propagation,
 )
@@ -66,6 +67,9 @@ def test_ladder_shape():
     assert np.allclose(ratios, ratios[0])
     with pytest.raises(ValueError):
         geometric_ladder(10.0, 1)
+    for tcap in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tcap"):
+            geometric_ladder(tcap, 64)
 
 
 def test_zero_is_fixed_point():
@@ -120,7 +124,29 @@ def test_nonlinear_term_matches_propagation_oracle():
     fields = [f.values for f in u.fields]
     for j in (0, 1, 4, 5, 64, 127):
         ref = nonlinear_by_propagation(op.prop, times, 4.0, u0.values, fields, j)
-        assert np.max(np.abs(nl[j] - ref)) <= 1e-13 * np.max(np.abs(ref)), j
+        got = op.prop.from_spectrum(nl[j])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), j
+
+
+def test_fused_map_matches_term_by_term_oracles():
+    # S(u) is summed as one spectrum per rung; against the three terms
+    # computed apart: the heat flow of u0, one propagation per ladder node
+    # for the nonlinear term, and QUADPACK per |xi|^2 for the forcing (the
+    # 400-node Simpson oracle is 10% off at t = 10 on this rough w)
+    g = Grid(2, 8.0, 64)
+    u0 = data_profile(g, kind="compact_bump", scale=0.5, amplitude=1.0)
+    w = ForcingSpec(data_profile(g, kind="compact_bump", scale=0.2, amplitude=1.0))
+    times = geometric_ladder(10.0, 128)
+    op = SolutionMap(u0, w, PARAMS, Q, times)
+    u = op.apply(op.free_only())
+    out = op.apply(u)
+    fields = [f.values for f in u.fields]
+    for j in (0, 1, 4, 5, 64, 127):
+        ref = (heat(op.prop, u0, times[j]).values
+               + nonlinear_by_propagation(op.prop, times, 4.0, u0.values, fields, j)
+               + forcing_field_quad(op.prop, w.profile.values, times[j], -0.5))
+        err = np.max(np.abs(out.fields[j].values - ref))
+        assert err <= 1e-13 * np.max(np.abs(ref)), j
 
 
 @pytest.mark.parametrize("sigma", [-0.5, 0.5])
@@ -230,6 +256,11 @@ def test_solution_map_validates_q_and_ladder():
         SolutionMap(zero, None, PARAMS, 100.0, times)
     with pytest.raises(ValueError, match="delta"):
         iterate_to_fixed_point(op, delta=0.0, cstar=1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        iterate_to_fixed_point(op, max_iter=0, cstar=1.0)
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            iterate_to_fixed_point(op, tol=tol, cstar=1.0)
     other = u.replace_fields(u.fields)
     other.times = geometric_ladder(3.0, 8)
     with pytest.raises(ValueError, match="ladder"):
