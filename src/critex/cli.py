@@ -31,7 +31,6 @@ from .exponents import (
 )
 from .field import (
     Field,
-    ForcingSpec,
     Grid,
     data_profile,
     field_fingerprint,
@@ -171,8 +170,7 @@ def _run_inputs(ns, values):
     u0 = _profile(values, "u0", grid, ns.seed_profile)
     if u0 is None:
         u0 = Field(grid, np.zeros(grid.shape))
-    w = _profile(values, "w", grid)
-    return params, u0, None if w is None else ForcingSpec(w)
+    return params, u0, _profile(values, "w", grid)
 
 
 def cmd_simulate(ns):
@@ -187,14 +185,14 @@ def cmd_simulate(ns):
     traj = evolve.run(u0, w, run_cfg)
     fingerprints = {"u0": field_fingerprint(u0)}
     if w is not None:
-        fingerprints["w"] = field_fingerprint(w.profile)
+        fingerprints["w"] = field_fingerprint(w)
     _write_manifest(ns, "simulate", cfg, fingerprints)
     _write_text(ns, "norms.csv", traj.norms_csv())
     out = _ensure_out(ns)
     if out is not None:
         write_snapshot(u0, os.path.join(out, "u0.field"))
         if w is not None:
-            write_snapshot(w.profile, os.path.join(out, "w.field"))
+            write_snapshot(w, os.path.join(out, "w.field"))
         for i, (t, f) in enumerate(traj.snapshots):
             write_snapshot(f, os.path.join(out, f"snap_{i:04d}.field"))
 
@@ -236,7 +234,7 @@ def cmd_picard(ns):
 
     fingerprints = {"u0": field_fingerprint(u0)}
     if w is not None:
-        fingerprints["w"] = field_fingerprint(w.profile)
+        fingerprints["w"] = field_fingerprint(w)
     _write_manifest(ns, "picard", cfg, fingerprints)
     _write_text(ns, "picard_distances.csv", diag.csv())
     _write_text(ns, "picard_audit.csv", audit.csv())

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .exponents import Params, derive
-from .field import Field, ForcingSpec, boundary_shell_fraction, norm_of_abs
+from .field import Field, boundary_shell_fraction, norm_of_abs
 from .semigroup import Propagator
 
 _GROW_CAP = 4.0
@@ -106,15 +106,15 @@ class SolveConfig:
 
     def __post_init__(self):
         if not (self.Tend > 0):
-            raise ValueError("Tend must be positive")
+            raise ValueError(f"Tend must be positive, got {self.Tend}")
         if not (0 < self.dt_min <= self.dt0):
             raise ValueError("need 0 < dt_min <= dt0")
         if not (self.Umax > 0):
-            raise ValueError("Umax must be positive")
+            raise ValueError(f"Umax must be positive, got {self.Umax}")
         if not (self.tol_step > 0):
-            raise ValueError("tol_step must be positive")
+            raise ValueError(f"tol_step must be positive, got {self.tol_step}")
         if self.dt_max is not None and not (self.dt_max > 0):
-            raise ValueError("dt_max must be positive")
+            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
 
     @property
     def effective_dt_max(self):
@@ -127,18 +127,21 @@ class Stepper:
     """Split stepper bound to one grid and parameter set.
 
     It works on half-spectra (`Propagator.to_spectrum`), where the linear
-    forced flow L is exact mode by mode and consecutive flows merge.
+    forced flow L is exact mode by mode and consecutive flows merge.  The
+    forcing profile w is a Field on grid, or None.
     """
 
-    def __init__(self, grid, params, w_values=None, nonlinear=True):
+    def __init__(self, grid, params, w=None, nonlinear=True):
         self.grid = grid
         self.prop = Propagator(grid)
         self.p = float(params.p)
         self.sigma = float(params.sigma)
         self.nl = bool(nonlinear)
         self.w_hat = None
-        if w_values is not None:
-            self.w_hat = self.prop.to_spectrum(np.reshape(w_values, grid.shape))
+        if w is not None:
+            if w.grid != grid:
+                raise ValueError("forcing grid does not match the data grid")
+            self.w_hat = self.prop.to_spectrum(w.values)
             # F(t) = int_0^t s^sigma e^{-(t-s)|xi|^2} ds per mode; a trial
             # needs F at five times and the next trial at its start again
             self._forced_at = functools.lru_cache(maxsize=8)(
@@ -234,7 +237,7 @@ class EndState:
     dt: float
     hist: deque
     accepted: int
-    w: ForcingSpec | None
+    w: Field | None
 
 
 @dataclass
@@ -302,8 +305,7 @@ def recording_norms(params):
 def _same_forcing(a, b):
     if a is None or b is None:
         return a is b
-    return a.profile.grid == b.profile.grid and np.array_equal(a.profile.values,
-                                                               b.profile.values)
+    return a.grid == b.grid and np.array_equal(a.values, b.values)
 
 
 def _end_state(traj, w, cfg):
@@ -324,18 +326,16 @@ def run(start, w, cfg):
     """Advance with adaptive step doubling until blow-up or cfg.Tend.
 
     start is either initial data (a Field at t = 0) or a Trajectory that
-    reached its horizon.  A trajectory is continued from its end state, and
-    its recorded series and snapshots run on from t = 0.  With one dt_max
-    for both segments the result is bitwise that of a single run to
-    cfg.Tend that records at the earlier horizon.
+    reached its horizon; w is the forcing profile, a Field, or None.  A
+    trajectory is continued from its end state, and its recorded series and
+    snapshots run on from t = 0.  With one dt_max for both segments the
+    result is bitwise that of a single run to cfg.Tend that records at the
+    earlier horizon.
     """
     end = _end_state(start, w, cfg) if isinstance(start, Trajectory) else None
     grid = start.grid if end is None else end.v.grid
-    if w is not None and w.profile.grid != grid:
-        raise ValueError("forcing grid does not match initial-data grid")
     q, beta, d = recording_norms(cfg.params)
-    stepper = Stepper(grid, cfg.params, None if w is None else w.profile.values,
-                      cfg.nonlinear)
+    stepper = Stepper(grid, cfg.params, w, cfg.nonlinear)
     vol = grid.cell_volume
 
     t = 0.0 if end is None else end.t
@@ -376,7 +376,7 @@ def run(start, w, cfg):
         v = np.array(start.values, dtype=np.float64)
         spec = stepper.prop.to_spectrum(v)
         record(0.0, v)
-        if cfg.snapshot_every > 0 or 0.0 in record_set:
+        if cfg.snapshot_every > 0:
             snapshots.append((0.0, start))
         dt = min(cfg.dt0, dt_max, targets[0])
         hist = deque(maxlen=10)

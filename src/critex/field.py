@@ -18,7 +18,7 @@ import hashlib
 import math
 import os
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -166,34 +166,23 @@ def norm_of_abs(absu, r, cell_volume):
     return (cell_volume * float(np.sum(absu**r))) ** (1.0 / r)
 
 
-def boundary_shell_fraction(f, depth=0.125, absu=None):
+def boundary_shell_fraction(grid_values, depth=0.125, absu=None):
     """Fraction of the L1 mass within depth*L of the box faces.
 
     Returns 0 for the zero field and for a spatially constant field, which
     the periodic box carries exactly.  Large values mean the periodic
     truncation is no longer a faithful stand-in for free space.
 
-    f is a Field or a (grid, values) pair.  A caller that has already taken
+    grid_values is a (grid, values) pair.  A caller that has already taken
     |values| passes it as absu.
     """
-    grid, values = (f.grid, f.values) if isinstance(f, Field) else f
+    grid, values = grid_values
     if absu is None:
         absu = np.abs(values)
     total = float(np.sum(absu))
     if total == 0.0 or values.min() == values.max():
         return 0.0
     return float(np.sum(absu[grid.face_mask(depth)])) / total
-
-
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Spatial forcing profile w together with its signed mass, summed once."""
-
-    profile: Field
-    mass: float = dataclass_field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass", integral(self.profile))
 
 
 @dataclass(frozen=True)

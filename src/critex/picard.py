@@ -132,7 +132,7 @@ class SolutionMap:
 
     def __init__(self, u0, w, params, q, times):
         grid = u0.grid
-        if w is not None and w.profile.grid != grid:
+        if w is not None and w.grid != grid:
             raise ValueError("forcing grid does not match data grid")
         times = np.asarray(times, dtype=np.float64)
         ratios = times[1:] / times[:-1]
@@ -163,7 +163,7 @@ class SolutionMap:
             self._w_hat = None
             self.forcing_norms = np.zeros(times.size)
         else:
-            self._w_hat = self.prop.to_spectrum(w.profile.values)
+            self._w_hat = self.prop.to_spectrum(w.values)
             self._forcing = [forcing_multiplier(t, self._levels, self.sigma) for t in times]
             self.forcing_norms = np.array([lr_norm(self._field(self._forcing_hat(j)), self.q)
                                            for j in range(times.size)])
@@ -389,7 +389,7 @@ def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
     if delta is None:
         delta = 0.5 * delta_max
     data_size = lr_norm(op.u0, float(der.data_index)) + (
-        0.0 if op.w is None else lr_norm(op.w.profile, float(der.forcing_index))
+        0.0 if op.w is None else lr_norm(op.w, float(der.forcing_index))
     )
     outside = delta > delta_max or data_size > budget
 
@@ -528,14 +528,14 @@ def audit_estimates(u, op):
     probes_free = base + [u0]
     probes_nl = base + [Field(u0.grid, np.abs(u.fields[j].values) ** p)
                         for j in range(0, len(u.fields), max(1, len(u.fields) // 8))]
-    probes_frc = base + ([] if w is None else [w.profile])
+    probes_frc = base + ([] if w is None else [w])
     heated = {}  # the base probes are heated once for all three constants
     c1_free = sup_smoothing_ratio(prop, probes_free, dense, d, q, heated)
     c1_nl = sup_smoothing_ratio(prop, probes_nl, dense, q / p, q, heated)
     c1_frc = sup_smoothing_ratio(prop, probes_frc, dense, k, q, heated)
 
     norm_u0 = lr_norm(u0, d)
-    norm_w = 0.0 if w is None else lr_norm(w.profile, k)
+    norm_w = 0.0 if w is None else lr_norm(w, k)
     bound_free = c1_free * norm_u0
     bound_nl = c1_nl * beta_function(a_nl, b_nl) * u.delta**p
     bound_frc = c1_frc * beta_function(a_frc, b_frc) * norm_w

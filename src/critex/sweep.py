@@ -29,7 +29,7 @@ from .exponents import (
     derive,
     picard_smallness,
 )
-from .field import BumpSpec, ForcingSpec, Grid, data_profile, lr_norm
+from .field import BumpSpec, Grid, data_profile, integral, lr_norm
 
 BLOWUP = "BlowUp"
 GLOBAL_CANDIDATE = "GlobalCandidate"
@@ -64,8 +64,17 @@ class SweepPlan:
     def __post_init__(self):
         if not self.p_values or not self.sigma_values or not self.data_scales:
             raise ValueError("sweep lattice must be nonempty")
-        if any(s <= -1 for s in self.sigma_values):
-            raise ValueError("all sigma values must exceed -1")
+        # the grid, every (p, sigma) and the solver settings are checked here,
+        # so that a bad value fails once instead of inside every job
+        self.grid()
+        params = [Params(N=self.N, p=p, sigma=s)
+                  for s in self.sigma_values for p in self.p_values]
+        SolveConfig(params=params[0], Tend=self.tend, dt0=self.dt0, Umax=self.umax,
+                    tol_step=self.tol_step)
+        if not self.tend_max >= self.tend:
+            raise ValueError(f"tend_max must be >= tend, got {self.tend_max} < {self.tend}")
+        if not self.budget_cstar > 0:
+            raise ValueError(f"budget_cstar must be positive, got {self.budget_cstar}")
 
     def grid(self):
         return Grid(N=self.N, L=self.L, n=self.n)
@@ -103,20 +112,18 @@ def _job_data(plan, params, scale):
     """Build (u0, w) for one job; supercritical data are shrunk into the smallness budget."""
     grid = plan.grid()
     u0 = data_profile(grid, **asdict(plan.u0_spec))
-    w_profile = data_profile(grid, **asdict(plan.w_spec))
+    w = data_profile(grid, **asdict(plan.w_spec))
     if params.sigma != 0 and classify_regime(params) is Regime.SUPERCRITICAL_GLOBAL:
         der = derive(params)
         q = float(der.q_default)
         _, budget = picard_smallness(params, q, plan.budget_cstar)
         nd = lr_norm(u0, float(der.data_index))
-        nk = lr_norm(w_profile, float(der.forcing_index))
+        nk = lr_norm(w, float(der.forcing_index))
         if nd > 0:
             u0 = u0.scaled(0.25 * budget / nd)
         if nk > 0:
-            w_profile = w_profile.scaled(0.25 * budget / nk)
-    u0 = u0.scaled(scale)
-    w_profile = w_profile.scaled(scale)
-    return u0, ForcingSpec(w_profile)
+            w = w.scaled(0.25 * budget / nk)
+    return u0.scaled(scale), w.scaled(scale)
 
 
 def _tail_slope(times, series, t_lo):
@@ -175,11 +182,11 @@ _JOB_FAILURES = (ValueError, ArithmeticError, StepOverflow)
 
 def _run_job(plan, job):
     sigma, p, scale = job
+    params = Params(N=plan.N, p=p, sigma=sigma)
+    theory = _theory_label(params)
     try:
-        params = Params(N=plan.N, p=p, sigma=sigma)
-        theory = _theory_label(params)
         u0, w = _job_data(plan, params, scale)
-        wbar = w.mass / (2.0 * plan.L) ** plan.N
+        wbar = integral(w) / (2.0 * plan.L) ** plan.N
         start, tend = u0, plan.tend
         while True:
             cfg = SolveConfig(
@@ -201,14 +208,7 @@ def _run_job(plan, job):
             start, tend = traj, min(tend * 10.0, plan.tend_max)
     except _JOB_FAILURES as exc:  # numerical failures must not abort the sweep
         return PhasePoint(p, sigma, scale, UNDETERMINED, None,
-                          f"error: {exc}", _safe_theory(plan, p, sigma), plan.tend)
-
-
-def _safe_theory(plan, p, sigma):
-    try:
-        return _theory_label(Params(N=plan.N, p=p, sigma=sigma))
-    except _JOB_FAILURES:
-        return ""
+                          f"error: {exc}", theory, plan.tend)
 
 
 def execute(plan, workers=1):
@@ -295,13 +295,6 @@ def estimate_boundary(points, sigma, N):
     return BoundaryEstimate(sigma, p_hat, crit_f, bracket, note)
 
 
-def critical_limit_from_below(N):
-    """Limit of the critical power as sigma -> 0-: N/(N-2) for N >= 3, else inf."""
-    if N >= 3:
-        return N / (N - 2.0)
-    return math.inf
-
-
 def boundaries_csv(points, N):
     """boundaries.csv: theory and observed critical power per sigma (p_hat is
     never forced), closed by the limit of p* as sigma -> 0-, where it jumps to inf.
@@ -312,7 +305,8 @@ def boundaries_csv(points, N):
         est = estimate_boundary(points, sigma, N)
         ph = "" if est.p_hat is None else f"{est.p_hat:.17g}"
         out.write(f"{sigma:.17g},{est.p_star_theory:.17g},{ph},{est.note}\n")
-    out.write(f"# limit_from_below,{critical_limit_from_below(N):.17g}\n")
+    # the sigma <= 0 formula at sigma = 0 is the limit from below
+    out.write(f"# limit_from_below,{float(critical_exponent(N, 0)):.17g}\n")
     return out.getvalue()
 
 

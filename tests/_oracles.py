@@ -49,6 +49,30 @@ def ode_blowup_time(u0, c, sigma, p=2.0, big=1e12, rtol=1e-12):
     return float(t_event + remainder)
 
 
+def mean_ode_blowup_time(m0, c, sigma, p, t0, rtol=1e-12):
+    """Blow-up time of m' = |m|^p + c*t^sigma from m(t0) = m0 > 0, t0 > 0.
+
+    Integrates y = m^(1-p), which falls to 0 at the blow-up time along the
+    smooth y' = -(p-1) (1 + c t^sigma y^(p/(p-1))), and stops on the event
+    y = 0, so no threshold or remainder is needed.
+    """
+    pm1 = p - 1.0
+
+    def rhs(t, y):
+        return [-pm1 * (1.0 + c * t**sigma * max(y[0], 0.0) ** (p / pm1))]
+
+    def hit(t, y):
+        return y[0]
+
+    hit.terminal = True
+    hit.direction = -1
+    sol = solve_ivp(rhs, (t0, t0 + 2.0 * m0**-pm1 / pm1), [m0**-pm1], method="DOP853",
+                    rtol=rtol, atol=1e-14 * m0**-pm1, events=hit)
+    if sol.t_events[0].size != 1:
+        raise RuntimeError(f"no blow-up detected: {sol.message}")
+    return float(sol.t_events[0][0])
+
+
 def ode_value(u0, c, sigma, p, t_end, rtol=1e-12):
     """Value at t_end of v' = |v|^p + c*t^sigma, v(0) = u0 (pre-blow-up)."""
     s1 = sigma + 1.0
@@ -82,27 +106,6 @@ def compact_bump_mass_1d(scale=1.0, amplitude=1.0):
     val, _ = quad(lambda x: math.exp(1.0 - 1.0 / (1.0 - x * x)), -1.0, 1.0,
                   epsabs=1e-13, epsrel=1e-12, limit=200)
     return amplitude * scale * val
-
-
-def duhamel_forced_linear(prop, w_values, t, sigma, nodes=400):
-    """High-resolution quadrature of int_0^t s^sigma e^{(t-s)D} w ds.
-
-    Uses the substitution tau = s^(sigma+1) (uniform tau grid, Simpson), so
-    the singular weight is exact; independent of the evolver's stepping.
-    """
-    s1 = sigma + 1.0
-    if nodes % 2 == 1:
-        nodes += 1
-    tau = np.linspace(0.0, t**s1, nodes + 1)
-    weights = np.ones(nodes + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= (tau[1] - tau[0]) / 3.0
-    acc = np.zeros_like(w_values)
-    for tk, wk in zip(tau, weights):
-        s = tk ** (1.0 / s1)
-        acc = acc + wk * prop.apply_values(w_values, t - s)
-    return acc / s1
 
 
 def periodized_kernel_axis(grid, t):
@@ -411,9 +414,7 @@ def step(u, t, dt, params, w=None, nonlinear=True):
 
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if w is not None and w.profile.grid != u.grid:
-        raise ValueError("forcing grid does not match field grid")
-    stepper = Stepper(u.grid, params, None if w is None else w.profile.values, nonlinear)
+    stepper = Stepper(u.grid, params, w, nonlinear)
     t, dt = float(t), float(dt)
     mid = t + 0.5 * dt
     spec = stepper.step_values(stepper.prop.to_spectrum(u.values), (t, mid), dt,

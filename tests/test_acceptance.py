@@ -24,7 +24,7 @@ from critex.exponents import (
     q_window_discriminant,
     verify_scaling_identities,
 )
-from critex.field import BumpSpec, Field, ForcingSpec, Grid, data_profile, integral, lr_norm
+from critex.field import BumpSpec, Field, Grid, data_profile, integral, lr_norm
 from critex.semigroup import Propagator
 from critex.sweep import (
     BLOWUP,
@@ -60,7 +60,7 @@ def budget_data(grid, params, q, cstar, fraction=0.25):
     wp = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
     u0 = u0.scaled(fraction * budget / lr_norm(u0, float(der.data_index)))
     wp = wp.scaled(fraction * budget / lr_norm(wp, float(der.forcing_index)))
-    return u0, ForcingSpec(wp)
+    return u0, wp
 
 
 # shared supercritical configuration for criteria 6 and 9
@@ -154,7 +154,7 @@ def test_criterion_04_ode_oracle_equivalence():
     err_a = abs(traj.t_star - 1.0)
     ok_a = traj.verdict is Verdict.BLEW_UP and err_a <= 0.02
 
-    w = ForcingSpec(Field(g, np.ones(16)))
+    w = Field(g, np.ones(16))
     traj2 = run(Field(g, np.zeros(16)), w, cfg)
     err_b = abs(traj2.t_star - BLOWUP_TIME_FORCED_SQRT) / BLOWUP_TIME_FORCED_SQRT
     ok_b = traj2.verdict is Verdict.BLEW_UP and err_b <= 0.02
@@ -199,8 +199,7 @@ def test_criterion_06_dichotomy_desk_scale(super_setup):
     tstars = []
     for scale in (1.0, 0.2, 0.05):
         u0 = data_profile(g, kind="gaussian", scale=0.5, amplitude=UNIT_AMP_2D * scale)
-        w = ForcingSpec(
-            data_profile(g, kind="gaussian", scale=0.5, amplitude=UNIT_AMP_2D * scale))
+        w = data_profile(g, kind="gaussian", scale=0.5, amplitude=UNIT_AMP_2D * scale)
         traj = run(u0, w, SolveConfig(params=params2, Tend=500.0))
         blow_ok = blow_ok and traj.verdict is Verdict.BLEW_UP
         tstars.append(traj.t_star)
@@ -222,8 +221,7 @@ def test_criterion_06_dichotomy_desk_scale(super_setup):
 def test_criterion_07_forced_blowup_positive_sigma():
     start = time.perf_counter()
     g = Grid(2, 8.0, 64)
-    w = ForcingSpec(
-        data_profile(g, kind="gaussian", scale=0.5, amplitude=0.05 * UNIT_AMP_2D))
+    w = data_profile(g, kind="gaussian", scale=0.5, amplitude=0.05 * UNIT_AMP_2D)
     u0 = data_profile(g, kind="gaussian", scale=0.5, amplitude=0.0)
     traj = run(u0, w, SolveConfig(params=Params(2, 4, 1), Tend=1000.0))
     elapsed = time.perf_counter() - start

@@ -300,6 +300,22 @@ def test_explicit_zero_rejected(tmp_path, command, base, line, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("p_values = 1.5", "p_values = 1, 0.5", "p must be > 1, got 1"),
+    ("N = 2", "N = 5", "N must be 1, 2 or 3, got 5"),
+    ("Tend_time = 100.0", "Tend_time = 0", "Tend must be positive, got 0"),
+    ("Tend_time = 100.0", "Tend_time = 100.0\ntol_step = -1", "tol_step must be positive, got -1"),
+    ("Tend_time = 100.0", "Tend_time = 100.0\nUmax_value = 0", "Umax must be positive, got 0"),
+], ids=["p", "N", "Tend", "tol_step", "Umax"])
+def test_sweep_bad_input_exits_2(tmp_path, capsys, old, new, message):
+    # every job would fail on it: the plan rejects it before any job runs,
+    # instead of reporting each point Undetermined
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_CFG.replace(old, new))
+    assert main(["sweep", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sigma, line, message", [
     ("-0.5", "R_length = 3", "R_length"),
     ("0.5", "R_length = 50", "R = 50.0"),
