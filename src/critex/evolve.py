@@ -77,9 +77,11 @@ class Verdict(enum.Enum):
 class SolveConfig:
     """Run parameters for the adaptive solver.
 
-    dt_max defaults to max(dt0, Tend/500); record_times are hit exactly and
-    snapshotted.  Set nonlinear=False to integrate only the linear forced
-    equation (diagnostic mode).  A run that continues a trajectory caps its
+    dt_max defaults to max(dt0, Tend/100), which sets the step only where
+    the reaction is weak, as on a smooth decaying run, and keeps about 100
+    recorded samples there; record_times are hit exactly and snapshotted.
+    Set nonlinear=False to integrate only the linear forced equation
+    (diagnostic mode).  A run that continues a trajectory caps its
     steps by this config's effective_dt_max, the value a fresh run to the
     new Tend would use, and ignores dt0: the step-size proposal carries over.
 
@@ -120,7 +122,7 @@ class SolveConfig:
     def effective_dt_max(self):
         if self.dt_max is not None:
             return self.dt_max
-        return max(self.dt0, self.Tend / 500.0)
+        return max(self.dt0, self.Tend / 100.0)
 
 
 class Stepper:

@@ -109,7 +109,10 @@ def _theory_label(params):
 
 
 def _job_data(plan, params, scale):
-    """Build (u0, w) for one job; supercritical data are shrunk into the smallness budget."""
+    """Build (u0, w) for one job; supercritical data are shrunk into the smallness budget.
+
+    w is None for an unforced sweep (w_spec kind "none").
+    """
     grid = plan.grid()
     u0 = data_profile(grid, **asdict(plan.u0_spec))
     w = data_profile(grid, **asdict(plan.w_spec))
@@ -118,12 +121,13 @@ def _job_data(plan, params, scale):
         q = float(der.q_default)
         _, budget = picard_smallness(params, q, plan.budget_cstar)
         nd = lr_norm(u0, float(der.data_index))
-        nk = lr_norm(w, float(der.forcing_index))
         if nd > 0:
             u0 = u0.scaled(0.25 * budget / nd)
-        if nk > 0:
-            w = w.scaled(0.25 * budget / nk)
-    return u0.scaled(scale), w.scaled(scale)
+        if w is not None:
+            nk = lr_norm(w, float(der.forcing_index))
+            if nk > 0:
+                w = w.scaled(0.25 * budget / nk)
+    return u0.scaled(scale), None if w is None else w.scaled(scale)
 
 
 def _tail_slope(times, series, t_lo):
@@ -186,7 +190,7 @@ def _run_job(plan, job):
     theory = _theory_label(params)
     try:
         u0, w = _job_data(plan, params, scale)
-        wbar = integral(w) / (2.0 * plan.L) ** plan.N
+        wbar = 0.0 if w is None else integral(w) / (2.0 * plan.L) ** plan.N
         start, tend = u0, plan.tend
         while True:
             cfg = SolveConfig(

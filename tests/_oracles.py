@@ -95,6 +95,66 @@ def ode_value(u0, c, sigma, p, t_end, rtol=1e-12):
     return float(sol.y[0, -1])
 
 
+@dataclass(frozen=True)
+class MolSolution:
+    """What `mol_solution` found: the field at T, or the blow-up time before T."""
+
+    values: np.ndarray | None
+    t_star: float | None
+
+
+def mol_solution(u0, w, params, T, big=1e6, rtol=1e-11):
+    """The PDE u' = Lap u + |u|^p + t^sigma w by the method of lines and DOP853.
+
+    The semi-discretisation is the evolver's: Lap is -|xi|^2 on the real
+    FFT half-spectrum of u0's grid (the wavenumbers are the only thing taken
+    from `src/`).  The whole right-hand side goes to scipy's DOP853, with no
+    splitting, no 1F1 and no step control of our own.  For sigma in (-1, 0]
+    it integrates in tau = t^(sigma+1), where
+    du/dtau = (tau^(-sigma/(sigma+1)) (Lap u + |u|^p) + w)/(sigma+1) is
+    continuous at tau = 0; for sigma > 0 it integrates in t.  A run whose
+    sup reaches big stops there, and t_star adds the remaining time
+    big^(1-p)/(p-1) of the ODE v' = v^p.
+    """
+    from critex.semigroup import Propagator
+
+    grid = u0.grid
+    xi2 = np.asarray(Propagator(grid).xi2)
+    shape, axes = grid.shape, tuple(range(grid.N))
+    p, sigma = float(params.p), float(params.sigma)
+    s1 = sigma + 1.0
+    wv = np.zeros(grid.size) if w is None else np.ravel(w.values)
+
+    def diffuse_react(y):
+        lap = np.fft.irfftn(-xi2 * np.fft.rfftn(y.reshape(shape)), s=shape, axes=axes)
+        return np.ravel(lap) + np.abs(y) ** p
+
+    if sigma <= 0.0:
+        def rhs(tau, y):
+            return (tau ** (-sigma / s1) * diffuse_react(y) + wv) / s1
+
+        end, to_time = T**s1, (lambda tau: tau ** (1.0 / s1))
+    else:
+        def rhs(t, y):
+            return diffuse_react(y) + t**sigma * wv
+
+        end, to_time = T, (lambda t: t)
+
+    def hit(s, y):
+        return np.max(np.abs(y)) - big
+
+    hit.terminal = True
+    hit.direction = 1
+    y0 = np.ravel(np.asarray(u0.values, dtype=np.float64))
+    atol = 1e-3 * rtol * max(float(np.max(np.abs(y0))), float(np.max(np.abs(wv))), 1e-300)
+    sol = solve_ivp(rhs, (0.0, end), y0, method="DOP853", rtol=rtol, atol=atol, events=hit)
+    if sol.status < 0:
+        raise RuntimeError(f"DOP853 failed: {sol.message}")
+    if sol.t_events[0].size:
+        return MolSolution(None, float(to_time(sol.t_events[0][0]) + big ** (1.0 - p) / (p - 1.0)))
+    return MolSolution(sol.y[:, -1].reshape(shape), None)
+
+
 def beta_quadrature(a, b):
     """B(a, b) by QUADPACK with the algebraic endpoint weight."""
     val, _ = quad(lambda s: 1.0, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0))

@@ -291,7 +291,7 @@ def test_picard_cli_peak_memory_below_two_and_a_half_ladders(tmp_path):
 @pytest.mark.parametrize("command, base, line, message", [
     ("simulate", SIMPLE_SIM, "dt_max_time = 0", "dt_max"),
     ("certificate", CERT_CFG, "R_length = 0", "R must be positive"),
-])
+], ids=["simulate-dt_max", "certificate-R"])
 def test_explicit_zero_rejected(tmp_path, command, base, line, message):
     cfg = tmp_path / f"{command}.ini"
     cfg.write_text(base + line + "\n")

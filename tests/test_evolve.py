@@ -27,6 +27,7 @@ from _oracles import (
     BLOWUP_TIME_FORCED_SQRT,
     forcing_field_quad,
     heat,
+    mol_solution,
     ode_blowup_time,
     ode_value,
     step,
@@ -465,6 +466,80 @@ def test_extrapolated_step_is_fourth_order():
         errs = [np.max(np.abs(scheme(h) - ref)) for h in hs]
         for coarse, finer in zip(errs, errs[1:]):
             assert math.log2(coarse / finer) == pytest.approx(order, abs=0.3), errs
+
+
+# Whole runs on rough compact_bump data (u0 centred off the origin, scale 1.5;
+# w scale 1), L = 4, n = 32 for N = 1 and 16 for N = 2, at the default cap
+# and tol_step.  Columns: N, p, sigma, T, u0 and w amplitudes, then the
+# measured error against `mol_solution`: of its sup at T for a run that
+# reaches T, relative in t* for one that blows up.  The two N = 2,
+# sigma = -1/2 global runs are limited by tol_step, not by the cap: they
+# read 1.9e-7 and 2.5e-7 at a cap of T/50 as well.
+MOL_CASES = [
+    (1, 4, HALF, 20.0, 0.3, 0.05, 9.6e-9),
+    (1, 4, Fraction(1, 2), 5.0, 0.5, 0.05, 5.5e-9),
+    (2, 3, HALF, 20.0, 0.5, 0.2, 3.6e-7),
+    (2, 3, HALF, 50.0, 0.5, 0.2, 2.5e-7),
+    (2, 3, Fraction(1, 2), 5.0, 0.5, 0.05, 1.8e-8),
+    (1, 2, HALF, 50.0, 0.1, 0.02, 1.3e-8),  # t* 24.66
+    (1, 2, Fraction(1, 2), 30.0, 0.1, 0.02, 2.6e-8),  # t* 15.95
+    (2, 2, HALF, 100.0, 0.3, 0.05, 1.4e-8),  # t* 44.97
+    (2, 2, Fraction(1, 2), 80.0, 0.1, 0.02, 2.0e-8),  # t* 39.23
+]
+
+
+@pytest.mark.parametrize("sigma", [HALF, Fraction(1, 2)])
+def test_method_of_lines_oracle_reduces_to_the_ode(sigma):
+    # on uniform data the oracle is the scalar ODE v' = |v|^p + c t^sigma:
+    # measured 2.8e-12 and 3.2e-11 relative in the value at t = 0.5, and
+    # 4.7e-13 and 4.2e-13 in t* (sigma = -1/2, +1/2)
+    g = Grid(1, 1.0, 8)
+    sg = float(sigma)
+    value = mol_solution(const_field(g, 0.2), const_field(g, 0.3), Params(1, 3, sigma), 0.5)
+    ref = ode_value(0.2, 0.3, sg, 3.0, 0.5)
+    assert np.all(np.abs(value.values - ref) <= 1e-10 * ref)
+    blowup = mol_solution(const_field(g, 0.0), const_field(g, 1.0), Params(1, 2, sigma), 3.0)
+    assert blowup.values is None
+    assert blowup.t_star == pytest.approx(ode_blowup_time(0.0, 1.0, sg), rel=1e-11)
+
+
+@pytest.mark.parametrize("N, p, sigma, T, ua, wa, measured", MOL_CASES, ids=[
+    f"N{c[0]}-p{c[1]}-sigma{c[2]}-T{c[3]:g}" for c in MOL_CASES])
+def test_run_matches_method_of_lines(N, p, sigma, T, ua, wa, measured):
+    # the whole evolver (splitting, 1F1 flows, extrapolation, step control,
+    # Umax crossing) against DOP853 on the same semi-discretisation; each
+    # bound is three times the measured error
+    g = Grid(N, 4.0, 32 if N == 1 else 16)
+    u0 = data_profile(g, kind="compact_bump", center=(0.5, -0.25)[:N], scale=1.5,
+                      amplitude=ua)
+    w = data_profile(g, kind="compact_bump", center=(-0.5, 0.0)[:N], scale=1.0,
+                     amplitude=wa)
+    params = Params(N, p, sigma)
+    traj = run(u0, w, SolveConfig(params=params, Tend=T, record_times=(T,)))
+    ref = mol_solution(u0, w, params, T)
+    if ref.values is None:
+        assert traj.verdict is Verdict.BLEW_UP
+        assert abs(traj.t_star - ref.t_star) <= 3 * measured * ref.t_star
+    else:
+        assert traj.verdict is Verdict.REACHED_HORIZON
+        err = np.max(np.abs(traj.snapshot_at(T).values - ref.values))
+        assert err <= 3 * measured * np.max(np.abs(ref.values))
+
+
+def test_global_run_work_count():
+    # configs/simulate_global.ini: a smooth decaying forced run, on which
+    # the cap Tend/100, not the error, sets almost every step (measured: 106
+    # accepted steps, 91 samples after Tend/10; 505 and 451 at Tend/500).
+    # The tail-slope fit of a sweep needs 4 samples after Tend/10
+    g = Grid(2, 8.0, 64)
+    u0 = data_profile(g, kind="gaussian", scale=0.25, amplitude=0.002)
+    w = data_profile(g, kind="gaussian", scale=0.25, amplitude=0.002)
+    T = 50.0
+    traj = run(u0, w, SolveConfig(params=Params(2, 4, HALF), Tend=T,
+                                  record_times=(10.0, 25.0, 50.0)))
+    assert traj.verdict is Verdict.REACHED_HORIZON
+    assert traj.end.accepted <= 120
+    assert np.count_nonzero(traj.times >= T / 10.0) >= 20
 
 
 def test_spectral_trial_overflow_raises():

@@ -84,6 +84,14 @@ def test_supercritical_small_data_global():
     assert pts[0].theory == "SupercriticalGlobal"
 
 
+def test_unforced_sweep_runs():
+    # w_spec "none" is w = 0: the job runs unforced and the mean projector
+    # gets wbar = 0; supercritical data are still shrunk into the budget
+    (pt,) = execute(tiny_plan(p_values=(4.0,), w_spec=BumpSpec("none")))
+    assert not pt.reason.startswith("error:"), pt.reason
+    assert pt.verdict == GLOBAL_CANDIDATE
+
+
 def test_failures_become_undetermined():
     # L chosen so the grid constructor rejects it inside the job
     plan = tiny_plan()
