@@ -247,6 +247,8 @@ def cmd_picard(ns):
           f"outside_guarantee: {diag.outside_guarantee}")
     print(f"margins_nonnegative: {audit.all_margins_nonnegative}  "
           f"cstar_hat: {_fmt(audit.cstar_hat)}")
+    free, nonlinear, forcing = map(_fmt, audit.probe_lift)
+    print(f"probe_lift free: {free}  nonlinear: {nonlinear}  forcing: {forcing}")
     return 0 if diag.converged else 5
 
 

@@ -244,12 +244,11 @@ def verify_scaling_identities(params, q):
     )
 
 
-def picard_smallness(params, q, cstar):
+def picard_smallness(params, cstar):
     """Largest contraction-ball radius and the matching data budget.
 
     Returns (delta_max, data_budget) with delta_max = (1/(2 cstar))^(1/(p-1))
-    and data_budget = delta_max / (2 cstar).  q is accepted alongside the
-    other fixed-point inputs but the thresholds do not depend on it.
+    and data_budget = delta_max / (2 cstar).
     """
     if cstar <= 0:
         raise ValueError("cstar must be positive")

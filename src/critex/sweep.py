@@ -29,7 +29,7 @@ from .exponents import (
     derive,
     picard_smallness,
 )
-from .field import BumpSpec, Grid, data_profile, integral, lr_norm
+from .field import BumpSpec, Field, Grid, data_profile, integral, lr_norm
 
 BLOWUP = "BlowUp"
 GLOBAL_CANDIDATE = "GlobalCandidate"
@@ -111,15 +111,16 @@ def _theory_label(params):
 def _job_data(plan, params, scale):
     """Build (u0, w) for one job; supercritical data are shrunk into the smallness budget.
 
-    w is None for an unforced sweep (w_spec kind "none").
+    u0 kind "none" is zero data; w is None for an unforced sweep (w kind "none").
     """
     grid = plan.grid()
     u0 = data_profile(grid, **asdict(plan.u0_spec))
+    if u0 is None:
+        u0 = Field(grid, np.zeros(grid.shape))
     w = data_profile(grid, **asdict(plan.w_spec))
     if params.sigma != 0 and classify_regime(params) is Regime.SUPERCRITICAL_GLOBAL:
         der = derive(params)
-        q = float(der.q_default)
-        _, budget = picard_smallness(params, q, plan.budget_cstar)
+        _, budget = picard_smallness(params, plan.budget_cstar)
         nd = lr_norm(u0, float(der.data_index))
         if nd > 0:
             u0 = u0.scaled(0.25 * budget / nd)

@@ -318,6 +318,51 @@ def smoothing_ratio_by_propagation(prop, probes, times, r_src, r_dst):
     return best
 
 
+def gaussian_smoothing_sup(N, r, q, dps=30):
+    """sup over the width of t^{(N/2)(1/r - 1/q)} ||e^{tD} g||_q / ||g||_r on R^N.
+
+    g = exp(-|x|^2/(4a)) heats to (a/(a+t))^{N/2} exp(-|x|^2/(4(a+t))), and
+    the q-norm of exp(-x^2/(4b)) on the line is its mpmath quadrature at
+    b = 1 times b^(1/(2q)); each norm is the N-th power of that.  The ratio
+    depends on s = t/a alone and its log is concave in log s, so it is
+    maximised by golden-section search over log s in [-40, 40].  At r = 1 the
+    sup is the limit s -> inf, at r = q the limit s -> 0: the search ends at
+    the bracket's edge, within e^-40 of it.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r, q = mpmath.mpf(r), mpmath.mpf(q)
+
+        def unit_norm(power):
+            if power == mpmath.inf:
+                return mpmath.mpf(1)
+            mass = mpmath.quad(lambda x: mpmath.exp(-power * x**2 / 4),
+                               [-mpmath.inf, 0, mpmath.inf])
+            return mass ** (1 / power)
+
+        const = mpmath.log(unit_norm(q)) - mpmath.log(unit_norm(r))
+        alpha, gamma = 1 / r - 1 / q, 1 - 1 / q
+
+        def log_ratio(y):  # one dimension, a = 1, t = s = e^y
+            return alpha * y / 2 - gamma * mpmath.log1p(mpmath.exp(y)) / 2 + const
+
+        lo, hi = mpmath.mpf(-40), mpmath.mpf(40)
+        phi = (mpmath.sqrt(5) - 1) / 2
+        x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+        f1, f2 = log_ratio(x1), log_ratio(x2)
+        for _ in range(200):
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + phi * (hi - lo)
+                f2 = log_ratio(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - phi * (hi - lo)
+                f1 = log_ratio(x1)
+        return float(mpmath.exp(N * max(f1, f2)))
+
+
 def forcing_multiplier_quad(t, xi2, sigma):
     """int_0^t s^sigma exp(-(t - s) xi2) ds by mpmath quadrature.
 

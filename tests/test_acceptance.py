@@ -53,9 +53,9 @@ def unit_gaussian(grid, a):
     return data_profile(grid, kind="gaussian", scale=a, amplitude=amp)
 
 
-def budget_data(grid, params, q, cstar, fraction=0.25):
+def budget_data(grid, params, cstar, fraction=0.25):
     der = derive(params)
-    _, budget = picard_smallness(params, q, cstar)
+    _, budget = picard_smallness(params, cstar)
     u0 = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
     wp = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
     u0 = u0.scaled(fraction * budget / lr_norm(u0, float(der.data_index)))
@@ -71,9 +71,9 @@ SUPER_Q = 6.0
 @pytest.fixture(scope="module")
 def super_setup():
     grid = Grid(2, 8.0, 64)
-    cstar = picard.measure_cstar(grid, SUPER_PARAMS, SUPER_Q, 10.0)
-    delta_max, budget = picard_smallness(SUPER_PARAMS, SUPER_Q, cstar)
-    u0, w = budget_data(grid, SUPER_PARAMS, SUPER_Q, cstar)
+    cstar = picard.measure_cstar(SUPER_PARAMS, SUPER_Q)
+    delta_max, budget = picard_smallness(SUPER_PARAMS, cstar)
+    u0, w = budget_data(grid, SUPER_PARAMS, cstar)
     return {"grid": grid, "cstar": cstar, "delta_max": delta_max,
             "budget": budget, "u0": u0, "w": w}
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -241,6 +242,24 @@ def test_picard_cli(tmp_path):
     assert audit.splitlines()[0].startswith("t,free,free_bound")
     ladders = sorted(out.glob("ladder_*.field"))
     assert len(ladders) == 32
+
+
+def test_picard_cli_prints_probe_lift(tmp_path):
+    # c1/C - 1 per constant: Gaussian data of width 0.25 stay under the sharp
+    # constants; a forcing of width 2 reaches 5.1% above the forcing one by
+    # Tcap = 10, where the heat kernel wraps around the box
+    cfg = tmp_path / "picard.ini"
+    cfg.write_text(PICARD_CFG.replace("w_scale_length2 = 0.25", "w_scale_length2 = 2.0")
+                   .replace("Tcap_time = 5.0", "Tcap_time = 10.0"))
+    res = run_cli(["picard", str(cfg)])
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 3, res.stdout
+    m = re.fullmatch(r"probe_lift free: (\S+)  nonlinear: (\S+)  forcing: (\S+)", lines[2])
+    assert m is not None, lines[2]
+    free, nonlinear, forcing = map(float, m.groups())
+    assert free == 0.0 and nonlinear == 0.0
+    assert 0.04 < forcing < 0.06
 
 
 @pytest.mark.parametrize("line, message", [("q = 0", "window"),

@@ -109,14 +109,14 @@ def test_scaling_identities_window_edges():
 
 
 def test_picard_smallness():
-    assert picard_smallness(Params(2, 2, HALF), 6, 0.5) == (1.0, 1.0)
-    dmax, budget = picard_smallness(Params(2, 3, HALF), 6, 2.0)
+    assert picard_smallness(Params(2, 2, HALF), 0.5) == (1.0, 1.0)
+    dmax, budget = picard_smallness(Params(2, 3, HALF), 2.0)
     assert dmax == pytest.approx(0.5)
     assert budget == pytest.approx(0.125)
-    d1, b1 = picard_smallness(Params(2, 2, HALF), 6, 1e8)
+    d1, b1 = picard_smallness(Params(2, 2, HALF), 1e8)
     assert d1 < 1e-7 and b1 < 1e-15
     with pytest.raises(ValueError):
-        picard_smallness(Params(2, 2, HALF), 6, 0.0)
+        picard_smallness(Params(2, 2, HALF), 0.0)
 
 
 def sample_admissible(rng, count):

@@ -15,6 +15,7 @@ from critex.picard import (
     iterate_to_fixed_point,
     ladder_distance,
     measure_cstar,
+    sharp_smoothing_constant,
     sup_smoothing_ratio,
 )
 from critex import semigroup
@@ -24,6 +25,7 @@ from _oracles import (
     beta_quadrature,
     forcing_field_quad,
     forcing_multiplier_quad,
+    gaussian_smoothing_sup,
     heat,
     nonlinear_by_propagation,
     smoothing_ratio_by_propagation,
@@ -36,8 +38,8 @@ Q = 6.0
 
 def budget_data(grid, params=PARAMS, q=Q, cstar=None, fraction=0.25):
     der = derive(params)
-    cstar = cstar if cstar is not None else measure_cstar(grid, params, q, 10.0)
-    _, budget = picard_smallness(params, q, cstar)
+    cstar = cstar if cstar is not None else measure_cstar(params, q)
+    _, budget = picard_smallness(params, cstar)
     u0 = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
     w_prof = data_profile(grid, kind="gaussian", scale=0.25, amplitude=1.0)
     u0 = u0.scaled(fraction * budget / lr_norm(u0, float(der.data_index)))
@@ -230,17 +232,55 @@ def test_sup_smoothing_ratio_matches_per_time_propagation():
     probes.append(Field(g, np.zeros(g.shape)))
     times = np.geomspace(1e-5, 10.0, 48)
     prop = Propagator(g)
-    heated = {}  # shared by the calls with r_dst = 6
     for r_src, r_dst in ((3.0, 6.0), (1.5, 6.0), (1.2, 6.0), (2.0, math.inf)):
         got = sup_smoothing_ratio(prop, probes, times, r_src, r_dst)
         assert got == smoothing_ratio_by_propagation(prop, probes, times, r_src, r_dst)
         assert got > 0.0
-        if r_dst == 6.0:
-            assert sup_smoothing_ratio(prop, probes, times, r_src, r_dst, heated) == got
-    assert len(heated) == 3  # the zero probe is never heated
     probe = data_profile(Grid(2, 8.0, 32), kind="compact_bump", scale=1.0)
     with pytest.raises(ValueError, match="grid"):
         sup_smoothing_ratio(prop, [probe], times, 3.0, 6.0)
+
+
+SMOOTHING_PAIRS = [(3.0, 6.0), (1.5, 6.0), (1.2, 6.0)]  # d, q/p, k at N = 2, p = 4, q = 6
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("r, q", SMOOTHING_PAIRS + [(1.0, 6.0), (6.0, 6.0), (2.0, math.inf),
+                                                    (1.0, math.inf)])
+def test_sharp_smoothing_constant_matches_mpmath_gaussian_sup(N, r, q):
+    # the closed form against the Gaussian ratio maximised over the width;
+    # r = 1 is the narrow-probe limit, r = q the contraction (C = 1)
+    got = sharp_smoothing_constant(N, r, q)
+    assert got == pytest.approx(gaussian_smoothing_sup(N, r, q), rel=1e-13, abs=0.0)
+
+
+def test_sharp_smoothing_constant_rejects_indices_out_of_order():
+    for r, q in ((0.8, 6.0), (7.0, 6.0)):
+        with pytest.raises(ValueError, match="r <= q"):
+            sharp_smoothing_constant(2, r, q)
+
+
+@pytest.mark.parametrize("r_src, r_dst", SMOOTHING_PAIRS)
+def test_sup_smoothing_ratio_on_narrow_gaussians_reaches_sharp_constant(r_src, r_dst):
+    # before the kernel feels the box (t <= L^2/64) the torus ratio of
+    # narrow Gaussians is the free-space one: its sup over widths and times
+    # is the sharp constant
+    g = Grid(2, 8.0, 64)
+    probes = [data_profile(g, kind="gaussian", scale=frac * g.L**2, amplitude=1.0)
+              for frac in (1e-3, 3e-3, 1e-2)]
+    times = np.geomspace(1e-4, g.L**2 / 64.0, 96)
+    got = sup_smoothing_ratio(Propagator(g), probes, times, r_src, r_dst)
+    assert got == pytest.approx(sharp_smoothing_constant(2, r_src, r_dst), rel=1e-3)
+
+
+def test_measure_cstar_is_the_sharp_bound_constant():
+    # at N = 2, p = 4, sigma = -1/2, q = 6 the nonlinear term sets it:
+    # C(2, 3/2, 6) B(1/3, 1/2), with beta = 1/6
+    want = sharp_smoothing_constant(2, 1.5, 6.0) * beta_quadrature(1.0 / 3.0, 0.5)
+    assert measure_cstar(PARAMS, Q) == pytest.approx(want, rel=1e-12)
+    assert measure_cstar(PARAMS, Q) == pytest.approx(0.65834266, rel=1e-8)
+    with pytest.raises(ValueError, match="window"):
+        measure_cstar(PARAMS, 100.0)
 
 
 def test_solution_map_validates_q_and_ladder():
@@ -312,6 +352,14 @@ def test_audit_margins_nonnegative():
     sol, diag = iterate_to_fixed_point(op, cstar=cstar)
     audit = audit_estimates(sol, op)
     assert audit.all_margins_nonnegative
+    # each constant is the sharp one unless the data's own ratio exceeds it
+    assert audit.sharp == tuple(sharp_smoothing_constant(2, r, Q) for r, _ in SMOOTHING_PAIRS)
+    prop, dense = op.prop, np.geomspace(sol.times[0] / 2.0, sol.times[-1], 96)
+    own = sup_smoothing_ratio(prop, [u0], dense, 3.0, Q)
+    assert audit.c1_free == max(audit.sharp[0], own)
+    own = sup_smoothing_ratio(prop, [w], dense, 1.2, Q)
+    assert audit.c1_forcing == max(audit.sharp[2], own)
+    assert all(lift >= 0.0 for lift in audit.probe_lift)
     assert audit.beta_args_nonlinear[0] > 0 and audit.beta_args_nonlinear[1] > 0
     assert audit.cstar_hat > 0
     # beta-function arguments for the reference config (N=3, p=3, q=6)
@@ -322,6 +370,17 @@ def test_audit_margins_nonnegative():
     assert 1.0 - (3.0 / 12.0) * 2.0 == pytest.approx(0.5)
     csv = audit.csv()
     assert csv.splitlines()[0].startswith("t,free,free_bound")
+
+
+def test_audit_without_forcing_takes_the_sharp_forcing_constant():
+    g = Grid(2, 8.0, 32)
+    u0, _, cstar = budget_data(g)
+    op = SolutionMap(u0, None, PARAMS, Q, geometric_ladder(5.0, 16))
+    sol, _ = iterate_to_fixed_point(op, cstar=cstar)
+    audit = audit_estimates(sol, op)
+    assert audit.c1_forcing == audit.sharp[2]
+    assert audit.probe_lift[2] == 0.0
+    assert np.all(audit.measured_forcing == 0.0)
 
 
 def test_oversized_data_flagged():

@@ -92,6 +92,14 @@ def test_unforced_sweep_runs():
     assert pt.verdict == GLOBAL_CANDIDATE
 
 
+def test_zero_initial_data_sweep_runs():
+    # u0_spec "none" is u0 = 0, a forced baseline; the budget rescale skips it
+    for p, verdict in ((1.5, BLOWUP), (4.0, GLOBAL_CANDIDATE)):
+        (pt,) = execute(tiny_plan(p_values=(p,), u0_spec=BumpSpec("none"), tend=10.0))
+        assert isinstance(pt, PhasePoint)
+        assert pt.verdict == verdict, pt.reason
+
+
 def test_failures_become_undetermined():
     # L chosen so the grid constructor rejects it inside the job
     plan = tiny_plan()
