@@ -27,12 +27,12 @@ structure matters.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import csv_text
 from .field import Grid, fingerprint_hash, slab_integral
 
 # Quotient guard: the exact quotient mu^{-1/(p-1)} |Lap mu|^{p'} is bounded
@@ -357,24 +357,14 @@ class CertificateReport:
     verdict: str
 
     def csv(self):
-        out = io.StringIO()
-        out.write("T,forcing,I1,I2,bound,verdict\n")
-        for i, T in enumerate(self.T_ladder):
-            flag = "CONTRADICTION" if self.contradiction_at[i] else "ok"
-            out.write(
-                f"{T:.17g},{self.forcing[i]:.17g},{self.I1[i]:.17g},"
-                f"{self.I2[i]:.17g},{self.bound[i]:.17g},{flag}\n"
-            )
-        out.write(f"# verdict,{self.verdict}\n")
-        out.write(f"# mode,{self.mode}\n")
-        out.write(f"# cutoffs,{self.cutoff_label}\n")
-        out.write(f"# forcing_mass,{self.mass:.17g}\n")
-        for key in sorted(self.slopes):
-            out.write(
-                f"# slope,{key},{self.slopes[key]:.17g},"
-                f"expected,{self.expected_slopes[key]:.17g}\n"
-            )
-        return out.getvalue()
+        flags = ("CONTRADICTION" if c else "ok" for c in self.contradiction_at)
+        return csv_text(
+            ("T", "forcing", "I1", "I2", "bound", "verdict"),
+            zip(self.T_ladder, self.forcing, self.I1, self.I2, self.bound, flags),
+            [("verdict", self.verdict), ("mode", self.mode), ("cutoffs", self.cutoff_label),
+             ("forcing_mass", self.mass)]
+            + [("slope", key, self.slopes[key], "expected", self.expected_slopes[key])
+               for key in sorted(self.slopes)])
 
 
 def expected_slopes(params):

@@ -42,8 +42,6 @@ from .field import (
 def _fmt(x):
     if x is None:
         return "none"
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
     return f"{float(x):.17g}"
 
 
@@ -293,6 +291,8 @@ def cmd_certificate(ns):
 
 def cmd_sweep(ns):
     try:
+        if ns.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {ns.workers}")
         cfg, values = _read(ns, "sweep")
         plan = sweep_mod.SweepPlan(**values["grid"], **values["sweep"])
     except (config_mod.ConfigError, ValueError, OSError) as exc:

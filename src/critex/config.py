@@ -1,6 +1,7 @@
-"""Flat INI-style configuration: one section per module, units in key names.
+"""The text formats critex writes: flat INI configs and CSV tables.
 
-A parsed config is a plain dict of sections, each a dict of string values.
+A config has one section per module and units in key names.  A parsed
+config is a plain dict of sections, each a dict of string values.
 Serialization is canonical (sections and keys in file order, `key = value`
 lines), so parse -> serialize -> parse is the identity on the records.
 Manifests reuse the same format: a config plus [run] and [fingerprints]
@@ -9,12 +10,14 @@ sections, which readers ignore, so a manifest can be re-run directly.
 `read` checks a parsed config against the key table of one command and
 types its values.  Absent keys are left out, so the code that takes a value
 as a keyword argument also owns its default.
+
+`csv_text` writes every CSV table: header, rows, and `# ` note lines, with
+floats at 17 significant digits so that they read back exactly.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from fractions import Fraction
 
 _META_SECTIONS = ("run", "fingerprints")
@@ -40,21 +43,33 @@ def load_config(path):
 
 
 def dump_config(sections):
-    out = io.StringIO()
-    first = True
-    for sec, items in sections.items():
-        if not first:
-            out.write("\n")
-        first = False
-        out.write(f"[{sec}]\n")
-        for key, value in items.items():
-            out.write(f"{key} = {value}\n")
-    return out.getvalue()
+    return "\n".join(f"[{sec}]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
+                     for sec, items in sections.items())
 
 
 def write_config(sections, path):
     with open(path, "w") as fh:
         fh.write(dump_config(sections))
+
+
+def _cell(x):
+    if x is None:
+        return ""
+    if isinstance(x, (str, int)):
+        return str(x)
+    return f"{x:.17g}"
+
+
+def csv_text(header, rows, notes=()):
+    """A CSV table: the header line, one line per row, then `# a,b,...` per note.
+
+    Floats take 17 significant digits (inf and nan as such), None an empty
+    cell; strings and ints are written verbatim.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    lines += ["# " + ",".join(map(_cell, note)) for note in notes]
+    return "\n".join(lines) + "\n"
 
 
 def strip_meta(sections):

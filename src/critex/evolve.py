@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import enum
 import functools
-import io
 import math
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .config import csv_text
 from .exponents import Params, derive
 from .field import Field, boundary_shell_fraction, norm_of_abs
 from .semigroup import Propagator
@@ -230,7 +230,8 @@ class EndState:
     """Where a run that reached its horizon stopped: enough to continue it.
 
     spec is the half-spectrum of v that the next step starts from; it is
-    carried because transforming v again would not return it bitwise.
+    carried because transforming v again would not return it bitwise.  The
+    state `run` starts a fresh run from has spec None and no hist.
     """
 
     t: float
@@ -277,14 +278,8 @@ class Trajectory:
         raise KeyError(f"no snapshot recorded at t = {t}")
 
     def norms_csv(self):
-        out = io.StringIO()
-        out.write("t,Linf,Lq,Ld,weighted\n")
-        for i in range(self.times.size):
-            out.write(
-                f"{self.times[i]:.17g},{self.linf[i]:.17g},{self.lq[i]:.17g},"
-                f"{self.ld[i]:.17g},{self.weighted[i]:.17g}\n"
-            )
-        return out.getvalue()
+        return csv_text(("t", "Linf", "Lq", "Ld", "weighted"),
+                        zip(self.times, self.linf, self.lq, self.ld, self.weighted))
 
 
 def recording_norms(params):
@@ -310,18 +305,33 @@ def _same_forcing(a, b):
     return a.grid == b.grid and np.array_equal(a.values, b.values)
 
 
-def _end_state(traj, w, cfg):
-    """The end state of traj, after checking that cfg may continue it."""
-    end = traj.end
+def _resume(start, w, cfg):
+    """(end state, series, snapshots, boundary max) that `run` starts from.
+
+    A Field start is the state at t = 0 with nothing recorded yet; its
+    spectrum is None.  A trajectory is first checked that cfg may continue it.
+    """
+    if not isinstance(start, Trajectory):
+        return EndState(0.0, start, None, cfg.dt0, (), 0, w), [[] for _ in range(6)], [], 0.0
+    end = start.end
     if end is None:
-        raise ValueError(f"cannot continue a run that ended in {traj.verdict.value}")
+        raise ValueError(f"cannot continue a run that ended in {start.verdict.value}")
     if not (cfg.Tend > end.t):
         raise ValueError(f"Tend = {cfg.Tend} does not lie beyond the stored t = {end.t}")
-    if cfg.params != traj.params:
+    if cfg.params != start.params:
         raise ValueError("params differ from those of the run being continued")
     if not _same_forcing(w, end.w):
         raise ValueError("forcing or grid differs from that of the run being continued")
-    return end
+    series = [a.tolist() for a in (start.times, start.linf, start.lq, start.ld,
+                                   start.weighted, start.lq_fluct)]
+    return end, series, list(start.snapshots), start.boundary_frac_max
+
+
+def _step_factor(err, tol, cap):
+    """Next trial step over a step whose error estimate was err (0 or inf too):
+    _SAFETY (tol/err)^(1/3), clipped to [_SHRINK_FLOOR, cap]."""
+    grow = _SAFETY * (tol / err) ** (1.0 / 3.0) if err > 0.0 else cap
+    return min(cap, max(_SHRINK_FLOOR, grow))
 
 
 def run(start, w, cfg):
@@ -334,27 +344,18 @@ def run(start, w, cfg):
     result is bitwise that of a single run to cfg.Tend that records at the
     earlier horizon.
     """
-    end = _end_state(start, w, cfg) if isinstance(start, Trajectory) else None
-    grid = start.grid if end is None else end.v.grid
+    end, series, snapshots, boundary_max = _resume(start, w, cfg)
+    times, linf_s, lq_s, ld_s, weighted_s, fluct_s = series
+    grid = end.v.grid
     q, beta, d = recording_norms(cfg.params)
     stepper = Stepper(grid, cfg.params, w, cfg.nonlinear)
     vol = grid.cell_volume
+    mean_weight = 1.0 / grid.size
 
-    t = 0.0 if end is None else end.t
+    t, v, spec, dt, accepted = end.t, end.v.values, end.spec, end.dt, end.accepted
+    hist = deque(end.hist, maxlen=10)
     record_set = {float(s) for s in cfg.record_times if t < s <= cfg.Tend}
     targets = sorted(record_set | {float(cfg.Tend)})
-
-    if end is None:
-        times, linf_s, lq_s, ld_s, weighted_s, fluct_s = [], [], [], [], [], []
-        snapshots = []
-        boundary_max = 0.0
-    else:
-        times, linf_s, lq_s, ld_s, weighted_s, fluct_s = (
-            a.tolist() for a in (start.times, start.linf, start.lq, start.ld,
-                                 start.weighted, start.lq_fluct))
-        snapshots = list(start.snapshots)
-        boundary_max = start.boundary_frac_max
-    mean_weight = 1.0 / grid.size
 
     def record(t, values):
         nonlocal boundary_max
@@ -374,22 +375,12 @@ def run(start, w, cfg):
         return linf
 
     dt_max = cfg.effective_dt_max
-    if end is None:
-        v = np.array(start.values, dtype=np.float64)
+    if spec is None:  # a fresh run: record t = 0 and clamp the first step
         spec = stepper.prop.to_spectrum(v)
-        record(0.0, v)
+        hist.append(record(0.0, v))
         if cfg.snapshot_every > 0:
             snapshots.append((0.0, start))
-        dt = min(cfg.dt0, dt_max, targets[0])
-        hist = deque(maxlen=10)
-        hist.append(linf_s[-1])
-        accepted = 0
-    else:
-        v = end.v.values
-        spec = end.spec
-        dt = end.dt
-        hist = deque(end.hist, maxlen=end.hist.maxlen)
-        accepted = end.accepted
+        dt = min(dt, dt_max, targets[0])
     ti = 0
     verdict, t_star = None, None
 
@@ -405,10 +396,6 @@ def run(start, w, cfg):
         e = 1.0 - stepper.p
         y0, y1 = s0**e, s1**e
         return t1 - (t1 - t0) * (cfg.Umax**e - y1) / (y0 - y1)
-
-    def growth_verdict():
-        grew = len(hist) >= 2 and hist[-1] > hist[0]
-        return (Verdict.BLEW_UP, t) if grew else (Verdict.STALLED, None)
 
     while verdict is None:
         target = targets[ti]
@@ -427,14 +414,10 @@ def run(start, w, cfg):
             if math.isnan(err):  # a transform overflowed after a finite reaction
                 err = math.inf
             if err > cfg.tol_step:
-                if err == math.inf:
-                    dt = max(dt_try * _SHRINK_FLOOR, 0.0)
-                else:
-                    dt = dt_try * min(
-                        1.0, max(_SHRINK_FLOOR, _SAFETY * (cfg.tol_step / err) ** (1.0 / 3.0))
-                    )
+                dt = dt_try * _step_factor(err, cfg.tol_step, 1.0)
                 if dt < cfg.dt_min:
-                    verdict, t_star = growth_verdict()
+                    grew = len(hist) >= 2 and hist[-1] > hist[0]
+                    verdict, t_star = (Verdict.BLEW_UP, t) if grew else (Verdict.STALLED, None)
                 continue
             v = accepted_state(t, full, fine)
             spec = accepted_state(t, full_spec, fine_spec)
@@ -444,12 +427,7 @@ def run(start, w, cfg):
             hist.append(linf)
             if cfg.snapshot_every > 0 and accepted % cfg.snapshot_every == 0:
                 snapshots.append((t, Field(grid, v.copy())))
-            if err == 0.0:
-                dt = dt_try * _GROW_CAP
-            else:
-                dt = dt_try * min(
-                    _GROW_CAP, max(_SHRINK_FLOOR, _SAFETY * (cfg.tol_step / err) ** (1.0 / 3.0))
-                )
+            dt = dt_try * _step_factor(err, cfg.tol_step, _GROW_CAP)
             if linf >= cfg.Umax:
                 verdict, t_star = Verdict.BLEW_UP, umax_crossing()
                 break

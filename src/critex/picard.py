@@ -21,12 +21,12 @@ rungs below t_j is carried up the ladder in Fourier space.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import csv_text
 from .exponents import beta_rate, derive, picard_smallness
 from .field import Field, lr_norm
 from .semigroup import Propagator, forcing_multiplier
@@ -263,6 +263,11 @@ def _check_q_in_window(params, q):
     der = derive(params)
     if der.q_window is None:
         raise ValueError("no admissible q-window for these parameters")
+    if der.forcing_index < 1:
+        raise ValueError(
+            f"forcing index k = {float(der.forcing_index):.6g} < 1: w in L^k gives no "
+            f"smoothing estimate, since p = {float(params.p):g} lies below "
+            f"p* = {float(der.critical):.6g}")
     lo, hi = float(der.q_window[0]), float(der.q_window[1])
     if not (lo < float(q) < hi):
         raise ValueError(f"q = {q} outside the admissible window ({lo:.6g}, {hi:.6g})")
@@ -281,11 +286,7 @@ class ContractionDiagnostics:
     outside_guarantee: bool
 
     def csv(self):
-        out = io.StringIO()
-        out.write("iteration,distance\n")
-        for i, d in enumerate(self.distances, start=1):
-            out.write(f"{i},{d:.17g}\n")
-        return out.getvalue()
+        return csv_text(("iteration", "distance"), enumerate(self.distances, start=1))
 
 
 def _fit_ratio(distances):
@@ -464,20 +465,13 @@ class EstimateAudit:
         )
 
     def csv(self):
-        out = io.StringIO()
-        out.write(
-            "t,free,free_bound,free_margin,nonlinear,nonlinear_bound,"
-            "nonlinear_margin,forcing,forcing_bound,forcing_margin\n"
-        )
-        for i, t in enumerate(self.times):
-            out.write(
-                f"{t:.17g},{self.measured_free[i]:.17g},{self.bound_free:.17g},"
-                f"{self.margins_free[i]:.17g},{self.measured_nonlinear[i]:.17g},"
-                f"{self.bound_nonlinear:.17g},{self.margins_nonlinear[i]:.17g},"
-                f"{self.measured_forcing[i]:.17g},{self.bound_forcing:.17g},"
-                f"{self.margins_forcing[i]:.17g}\n"
-            )
-        return out.getvalue()
+        return csv_text(
+            ("t", "free", "free_bound", "free_margin", "nonlinear", "nonlinear_bound",
+             "nonlinear_margin", "forcing", "forcing_bound", "forcing_margin"),
+            ((t, self.measured_free[i], self.bound_free, self.margins_free[i],
+              self.measured_nonlinear[i], self.bound_nonlinear, self.margins_nonlinear[i],
+              self.measured_forcing[i], self.bound_forcing, self.margins_forcing[i])
+             for i, t in enumerate(self.times)))
 
 
 def audit_estimates(u, op):

@@ -110,14 +110,13 @@ _DEPTH = 1000  # start of the backward recurrence for the Taylor coefficients
 class _Bands(NamedTuple):
     """Polynomials of g on bands in z, one coefficient column per band.
 
-    Columns are in bit-reversed order for `_estrin`.  `near` holds the 8-term
-    polynomials of the 64 bands [b/16, (b+1)/16) below z = 4.  `coef` holds
-    them again, zero-padded to 16 terms (which leaves every result bit the
-    same), then the far bands [(b-64) width, (b-63) width), and last the
-    asymptotic band, a polynomial in 1/z.
+    Rows are in bit-reversed order for `_estrin`.  The first 64 columns are
+    the 8-term polynomials of the bands [b/16, (b+1)/16) below z = 4,
+    zero-padded to 16 terms (which leaves every result bit the same), then
+    come the far bands [(b-64) width, (b-63) width), and last the asymptotic
+    band, a polynomial in 1/z.
     """
 
-    near: np.ndarray
     coef: np.ndarray
     centres: np.ndarray
     width: float
@@ -184,9 +183,9 @@ def _bands(sigma):
     coef[:, 64:-1] = _taylor_coefficients(far_centres, s1, 16)
     coef[1, -1] = 1.0
     coef[2:, -1] = np.cumprod(np.arange(14) - sigma)
-    bands = _Bands(coef[:8, :64][_bit_reversed(8)], coef[_bit_reversed(16)],
+    bands = _Bands(coef[_bit_reversed(16)],
                    np.concatenate([near_centres, far_centres, [0.0]]), width)
-    for table in bands[:3]:  # shared by every caller through the cache
+    for table in bands[:2]:  # shared by every caller through the cache
         table.flags.writeable = False
     return bands
 
@@ -200,15 +199,11 @@ def _kummer_g(z, sigma):
     is evaluated in.
     """
     bands = _bands(sigma)
-    top = z.max()
-    if top < _NEAR:
-        band = (z * 16.0).astype(np.intp)
-        return _estrin(bands.near.take(band, axis=1), z - bands.centres[band])
     last = len(bands.centres) - 1
     band = np.where(z < _NEAR, z * 16.0, z / bands.width + 64.0)
     band = np.minimum(band, last).astype(np.intp)
     x = z - bands.centres[band]
-    if top / bands.width + 64.0 >= last:  # the largest z's band is the asymptotic one
+    if z.max() / bands.width + 64.0 >= last:  # the largest z's band is the asymptotic one
         np.reciprocal(z, out=x, where=band == last)
     return _estrin(bands.coef.take(band, axis=1), x)
 

@@ -13,13 +13,13 @@ continued to a tenfold horizon before reporting Undetermined.
 
 from __future__ import annotations
 
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .config import csv_text
 from .evolve import SolveConfig, StepOverflow, Verdict, run
 from .exponents import (
     Params,
@@ -286,45 +286,34 @@ def estimate_boundary(points, sigma, N):
     rows = [pt for pt in rows if pt.scale == smallest]
     glob = sorted(pt.p for pt in rows if pt.verdict == GLOBAL_CANDIDATE)
     blow = sorted(pt.p for pt in rows if pt.verdict == BLOWUP)
-    crit = critical_exponent(N, sigma) if sigma != 0 else math.inf
-    crit_f = math.inf if crit is math.inf else float(crit)
+    crit = float(critical_exponent(N, sigma))
     if not glob:
         note = "Unbracketed: no global candidate"
         if sigma > 0:
             note += " (critical power is infinite)"
-        return BoundaryEstimate(sigma, None, crit_f, None, note)
+        return BoundaryEstimate(sigma, None, crit, None, note)
     p_hat = glob[0]
     below = [p for p in blow if p < p_hat]
     bracket = (max(below), p_hat) if below else None
     note = "" if below else "Unbracketed: no blow-up below p_hat"
-    return BoundaryEstimate(sigma, p_hat, crit_f, bracket, note)
+    return BoundaryEstimate(sigma, p_hat, crit, bracket, note)
 
 
 def boundaries_csv(points, N):
     """boundaries.csv: theory and observed critical power per sigma (p_hat is
-    never forced), closed by the limit of p* as sigma -> 0-, where it jumps to inf.
+    never forced), closed by the limit of p* as sigma -> 0-.
     """
-    out = io.StringIO()
-    out.write("sigma,p_star_theory,p_hat,note\n")
-    for sigma in sorted({pt.sigma for pt in points}):
-        est = estimate_boundary(points, sigma, N)
-        ph = "" if est.p_hat is None else f"{est.p_hat:.17g}"
-        out.write(f"{sigma:.17g},{est.p_star_theory:.17g},{ph},{est.note}\n")
-    # the sigma <= 0 formula at sigma = 0 is the limit from below
-    out.write(f"# limit_from_below,{float(critical_exponent(N, 0)):.17g}\n")
-    return out.getvalue()
+    ests = [estimate_boundary(points, sigma, N) for sigma in sorted({pt.sigma for pt in points})]
+    return csv_text(("sigma", "p_star_theory", "p_hat", "note"),
+                    ((e.sigma, e.p_star_theory, e.p_hat, e.note) for e in ests),
+                    # the sigma <= 0 formula at sigma = 0 is the limit from below
+                    [("limit_from_below", float(critical_exponent(N, 0)))])
 
 
 def phase_csv(points):
-    out = io.StringIO()
-    out.write("p,sigma,scale,verdict,tstar,theory\n")
-    for pt in points:
-        tstar = f"{pt.t_star:.17g}" if pt.t_star is not None else ""
-        out.write(
-            f"{pt.p:.17g},{pt.sigma:.17g},{pt.scale:.17g},{pt.verdict},"
-            f"{tstar},{pt.theory}\n"
-        )
-    return out.getvalue()
+    return csv_text(("p", "sigma", "scale", "verdict", "tstar", "theory"),
+                    ((pt.p, pt.sigma, pt.scale, pt.verdict, pt.t_star, pt.theory)
+                     for pt in points))
 
 
 _VERDICT_COLORS = {
@@ -375,10 +364,7 @@ def phase_svg(points, N, width=640, height=480):
     # theoretical critical curve, drawn through cell centers where finite
     curve = []
     for sig in sigmas:
-        crit = critical_exponent(N, sig) if sig != 0 else None
-        if crit is None or crit is math.inf:
-            continue
-        crit = float(crit)
+        crit = float(critical_exponent(N, sig))  # inf lies outside every lattice
         lo, hi = min(ps), max(ps)
         if lo <= crit <= hi:
             # interpolate a vertical position inside the lattice

@@ -273,6 +273,17 @@ def test_picard_explicit_zero_rejected(tmp_path, line, message):
     assert message in res.stderr
 
 
+def test_picard_forcing_index_below_one_exits_2(tmp_path, capsys):
+    # N = 2, p = 4, sigma = -1/10: the q-window is nonempty, but k = 30/37
+    # because p lies below p* = 11, and w in L^k gives no smoothing estimate
+    cfg = tmp_path / "picard.ini"
+    cfg.write_text(PICARD_CFG.replace("sigma = -0.5", "sigma = -1/10"))
+    assert main(["picard", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "forcing index k = 0.810811 < 1" in err, err
+    assert "p* = 11" in err, err
+
+
 @pytest.mark.parametrize("line, message", [
     ("Tcap_time = -1", "tcap"), ("Tcap_time = 0", "tcap"),
     ("max_iter = 0", "max_iter"), ("tol = 0", "tol"), ("tol = -1", "tol"),
@@ -333,6 +344,15 @@ def test_sweep_bad_input_exits_2(tmp_path, capsys, old, new, message):
     cfg.write_text(SWEEP_CFG.replace(old, new))
     assert main(["sweep", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_workers_below_one_exits_2(tmp_path, capsys, monkeypatch, workers):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_CFG)
+    monkeypatch.setattr(cli.sweep_mod, "execute", lambda *a, **k: pytest.fail("sweep ran"))
+    assert main(["sweep", str(cfg), "--workers", str(workers)]) == 2
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sigma, line, message", [

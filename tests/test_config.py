@@ -2,6 +2,7 @@
 configs/ and the inputs the benchmark writes."""
 
 import importlib.util
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -95,3 +96,14 @@ def test_benchmark_inputs_read(workload):
     for seed in (1, 2, 3):
         for op in wl.generate(workload, seed):
             _read_all(config.parse_config(op.ini), op.command)
+
+
+def test_csv_text_cells_and_notes():
+    x = 0.1 + 0.2
+    text = config.csv_text(("a", "b", "c"), [(x, None, "ok"), (math.inf, math.nan, 7)],
+                           [("mass", 1.5), ("slope", "I1", -2.0)])
+    assert text == ("a,b,c\n0.30000000000000004,,ok\ninf,nan,7\n"
+                    "# mass,1.5\n# slope,I1,-2\n")
+    cells = text.splitlines()[1].split(",")
+    assert float(cells[0]) == x  # 17 significant digits read back exactly
+    assert config.csv_text(("t",), []) == "t\n"

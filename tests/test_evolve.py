@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from critex.evolve import (
+    _GROW_CAP,
+    _SHRINK_FLOOR,
     SolveConfig,
     Stepper,
     StepOverflow,
     Verdict,
+    _step_factor,
     accepted_state,
     run,
 )
@@ -686,3 +689,12 @@ def test_invalid_inputs():
     w = const_field(other, 1.0)
     with pytest.raises(ValueError, match="grid"):
         run(const_field(g, 1.0), w, SolveConfig(params=Params(1, 2, HALF), Tend=1.0))
+
+
+def test_step_factor_bounds():
+    tol = 1e-6
+    assert _step_factor(math.inf, tol, 1.0) == _SHRINK_FLOOR  # overflow: shrink most
+    assert _step_factor(0.0, tol, _GROW_CAP) == _GROW_CAP  # no error: grow most
+    for err in np.geomspace(tol, 1e6, 40):  # a rejected step never grows
+        assert _SHRINK_FLOOR <= _step_factor(err, tol, 1.0) <= 1.0
+    assert _step_factor(tol / 8.0, tol, _GROW_CAP) == pytest.approx(1.8)

@@ -5,7 +5,8 @@ A function, class or method that only the tests call belongs in the tests
 an import alias anywhere in the package counts, whatever object it refers to.
 
 The package also keeps to one numeric backend: numpy alone.  scipy serves only
-the test oracles.
+the test oracles.  And it writes 17-digit numbers in three places only: its
+CSV writer, its printed numbers and its snapshot header.
 """
 
 import ast
@@ -89,3 +90,11 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_seventeen_digit_format_has_one_home_per_format():
+    # CSV tables go through config.csv_text, printed numbers through
+    # cli._fmt, and field.py writes the snapshot header
+    found = {path.name: path.read_text().count(".17g") for path in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in found.items() if n} == {
+        "config.py": 1, "cli.py": 1, "field.py": 1}

@@ -245,6 +245,20 @@ def test_boundaries_csv_with_precomputed_points():
     assert boundaries_csv(pts, 4).splitlines()[-1] == "# limit_from_below,2"
 
 
+def test_sigma_zero_column_takes_the_formula():
+    # at N = 3 the sigma = 0 critical power is N/(N-2) = 3 (Bandle, Levine &
+    # Zhang 2000), the limit of p* as sigma -> 0-; at N = 2 it is inf
+    pts = [PhasePoint(p, sigma, 1.0, BLOWUP if p < 3.5 else GLOBAL_CANDIDATE,
+                      1.0 if p < 3.5 else None, "", "x", 100.0)
+           for sigma in (-0.5, 0.0) for p in (2.0, 3.0, 4.0)]
+    assert estimate_boundary(pts, 0.0, 3).p_star_theory == 3.0
+    assert estimate_boundary(pts, 0.0, 2).p_star_theory == math.inf
+    lines = boundaries_csv(pts, 3).splitlines()
+    assert lines[1:] == ["-0.5,2,4,", "0,3,4,", "# limit_from_below,3"]
+    # the theory curve passes through p* = 2 at sigma = -1/2 and 3 at sigma = 0
+    assert "polyline" in phase_svg(pts, 3)
+
+
 @pytest.mark.parametrize("m0, c, sigma, p, t0", [
     (0.05, 0.0, -0.4, 2.8, 100.0),
     (0.05, 1e-3, -0.4, 2.8, 100.0),
