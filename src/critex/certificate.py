@@ -15,11 +15,11 @@ the space integrals are sums over shells weighted by the number of points
 in each (or, for the forcing factor, by w summed over each).  No array of
 grid size is built: the counts are shifted 1-D histograms of one slab's
 shells, and the forcing is never held.  It arrives as a stream of slabs
-(``field.profile_slabs``) from which one pass takes its shell sums, its
-mass and its fingerprint.  Tracking the
-implied upper bound on the forcing mass along a T-ladder turns the scaling
-argument into a numerical verdict: if the bound decays, a positive-mass
-forcing is contradicted and no global solution can exist.
+(``field.profile_slabs``) from which one pass takes its shell sums and its
+mass, while a worker thread hashes the same slabs into its fingerprint.
+Tracking the implied upper bound on the forcing mass along a T-ladder turns
+the scaling argument into a numerical verdict: if the bound decays, a
+positive-mass forcing is contradicted and no global solution can exist.
 
 The functionals never consume a simulated solution; only the inequality
 structure matters.
@@ -28,6 +28,8 @@ structure matters.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,17 +245,44 @@ def stream_forcing(shells, slabs):
     ``field.integral`` and ``field.field_fingerprint`` of the whole field.
     The shell sums are exact in order because the unbuffered ``np.add.at``
     adds a slab's points one after another.
+
+    The fingerprint is hashed on a worker thread, which takes the slabs in
+    order through a queue of two and calls only ``update`` (hashlib releases
+    the GIL on large buffers), while this thread sums them.  A slab is thus
+    read after the next one is requested: a producer must yield a fresh
+    array each time and never refill one buffer.
     """
     grid = shells.grid
     total = np.zeros(shells.occupied[-1] + 1)
     digest = fingerprint_hash(grid)
+    pending = queue.Queue(maxsize=2)
+    errors = []
+
+    def hash_in_order():
+        # until the None that closes the queue; after a failure it only
+        # drains, so that no put blocks
+        while (slab := pending.get()) is not None:
+            if not errors:
+                try:
+                    digest.update(slab)
+                except BaseException as exc:
+                    errors.append(exc)
+
+    worker = threading.Thread(target=hash_in_order, name="critex-fingerprint")
+    worker.start()
     sums = []
-    for rows, slab in zip(grid.slab_rows(), slabs, strict=True):
-        if slab.shape != grid.slab_shape:
-            raise ValueError(f"slab shape {slab.shape} != grid slab shape {grid.slab_shape}")
-        digest.update(np.ascontiguousarray(slab, dtype="<f8"))
-        np.add.at(total, (shells.k2[rows, None] + shells.rest).ravel(), slab.ravel())
-        sums.append(np.sum(slab))
+    try:
+        for rows, slab in zip(grid.slab_rows(), slabs, strict=True):
+            if slab.shape != grid.slab_shape:
+                raise ValueError(f"slab shape {slab.shape} != grid slab shape {grid.slab_shape}")
+            pending.put(np.ascontiguousarray(slab, dtype="<f8"))
+            np.add.at(total, (shells.k2[rows, None] + shells.rest).ravel(), slab.ravel())
+            sums.append(np.sum(slab))
+    finally:
+        pending.put(None)
+        worker.join()
+    if errors:
+        raise errors[0]
     return total[shells.occupied], slab_integral(grid, sums), digest.hexdigest()
 
 

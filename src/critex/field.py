@@ -267,7 +267,10 @@ def profile_slabs(grid, path=None, factor=1.0, **bump):
     The profile is the snapshot at path, else ``BumpSpec(**bump)`` on grid,
     times factor; None for kind "none".  A bad recipe or snapshot header
     raises ValueError here, before any slab; a slab with a non-finite value
-    raises ValueError when it is reached.
+    raises ValueError when it is reached.  Each slab is a fresh array, since
+    a consumer may read one after it has asked for the next
+    (``certificate.stream_forcing`` hashes them on another thread): no
+    producer may refill one buffer.
     """
     slabs = _snapshot_slabs(path, grid) if path else BumpSpec(**bump).slabs(grid)
     return None if slabs is None else _finite(slabs, float(factor))

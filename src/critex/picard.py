@@ -142,7 +142,7 @@ class SolutionMap:
             q = derive(params).q_default
             if q is None:
                 raise ValueError("no admissible q-window; pass q explicitly")
-        _check_q_in_window(params, q)
+        _check_q_in_window(params, q, forced=w is not None)
         self.grid = grid
         self.params = params
         self.q = float(q)
@@ -259,11 +259,12 @@ def _bound_exponents(params, q):
             (sigma + 1.0, 1.0 - (N / 2.0) * (1.0 / k - 1.0 / q)))
 
 
-def _check_q_in_window(params, q):
+def _check_q_in_window(params, q, forced=True):
+    """q must lie in the window, and a forced map needs w's index k >= 1."""
     der = derive(params)
     if der.q_window is None:
         raise ValueError("no admissible q-window for these parameters")
-    if der.forcing_index < 1:
+    if forced and der.forcing_index < 1:
         raise ValueError(
             f"forcing index k = {float(der.forcing_index):.6g} < 1: w in L^k gives no "
             f"smoothing estimate, since p = {float(params.p):g} lies below "
@@ -336,24 +337,30 @@ def sup_smoothing_ratio(prop, probes, times, r_src, r_dst):
     return best
 
 
-def _sharp_constants(params, q):
-    """Sharp free-space constants of the free, nonlinear and forcing terms at q."""
+def _sharp_constants(params, q, forced=True):
+    """Sharp free-space constants of the free, nonlinear and forcing terms at q.
+
+    An unforced map has no forcing term, and its forcing constant is 0.
+    """
     d, k, *_ = _bound_exponents(params, q)
-    return tuple(sharp_smoothing_constant(params.N, r, q) for r in (d, q / float(params.p), k))
+    c_free, c_nl = (sharp_smoothing_constant(params.N, r, q) for r in (d, q / float(params.p)))
+    return c_free, c_nl, sharp_smoothing_constant(params.N, k, q) if forced else 0.0
 
 
-def measure_cstar(params, q):
+def measure_cstar(params, q, forced=True):
     """Constant of the map bound at q: max(C(N,d,q), C(N,q/p,q) B_nl, C(N,k,q) B_frc).
 
     C are the sharp constants of R^N, B the beta-function factors of the
-    nonlinear and forcing terms.  No grid enters: the smallness thresholds fed
-    with it are a free-space guarantee, not a torus one (see sup_smoothing_ratio).
+    nonlinear and forcing terms; an unforced map (forced False) drops the
+    last.  No grid enters: the smallness thresholds fed with it are a
+    free-space guarantee, not a torus one (see sup_smoothing_ratio).
     """
-    _check_q_in_window(params, q)
+    _check_q_in_window(params, q, forced)
     q = float(q)
     *_, nl_args, frc_args = _bound_exponents(params, q)
-    c_free, c_nl, c_frc = _sharp_constants(params, q)
-    return max(c_free, c_nl * beta_function(*nl_args), c_frc * beta_function(*frc_args))
+    c_free, c_nl, c_frc = _sharp_constants(params, q, forced)
+    b_frc = beta_function(*frc_args) if forced else 0.0
+    return max(c_free, c_nl * beta_function(*nl_args), c_frc * b_frc)
 
 
 def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
@@ -372,7 +379,7 @@ def iterate_to_fixed_point(op, delta=None, max_iter=40, tol=1e-9, cstar=None):
         raise ValueError(f"tol must be positive, got {tol}")
     der = derive(params)
     if cstar is None:
-        cstar = measure_cstar(params, q)
+        cstar = measure_cstar(params, q, forced=op.w is not None)
     delta_max, budget = picard_smallness(params, cstar)
     if delta is None:
         delta = 0.5 * delta_max
@@ -452,9 +459,12 @@ class EstimateAudit:
 
     @property
     def probe_lift(self):
-        """c1/C - 1 per constant: how far the data lift it above the sharp one."""
+        """c1/C - 1 per constant: how far the data lift it above the sharp one.
+
+        Without forcing both forcing constants are 0, and so is its lift.
+        """
         c1 = (self.c1_free, self.c1_nonlinear, self.c1_forcing)
-        return tuple(c / sharp - 1.0 for c, sharp in zip(c1, self.sharp))
+        return tuple(c / sharp - 1.0 if sharp else 0.0 for c, sharp in zip(c1, self.sharp))
 
     @property
     def all_margins_nonnegative(self):
@@ -480,17 +490,21 @@ def audit_estimates(u, op):
     Each smoothing constant is the sharp free-space one, raised to the ratio
     its data reach on this grid over the ladder's times (u0; |u|^p on every
     eighth rung; w): the bounds hold for these data, but the constants do not
-    bound the torus sup over all data (see sup_smoothing_ratio).
+    bound the torus sup over all data (see sup_smoothing_ratio).  Without w
+    the forcing bound and constants are 0.
     """
     params, u0, w = op.params, op.u0, op.w
     q = op.q
     p = float(params.p)
+    forced = w is not None
     d, k, beta, (a_nl, b_nl), (a_frc, b_frc) = _bound_exponents(params, q)
     if not u.in_ball:
         raise ValueError("ladder solution is outside its ball; bounds need delta")
 
-    for name, val in (("1-beta*p", a_nl), ("1-N(p-1)/(2q)", b_nl),
-                      ("sigma+1", a_frc), ("1-(N/2)(1/k-1/q)", b_frc)):
+    args = [("1-beta*p", a_nl), ("1-N(p-1)/(2q)", b_nl)]
+    if forced:
+        args += [("sigma+1", a_frc), ("1-(N/2)(1/k-1/q)", b_frc)]
+    for name, val in args:
         if val <= 0:
             raise ValueError(
                 f"admissibility bug: beta-function argument {name} = {val} <= 0 "
@@ -515,7 +529,7 @@ def audit_estimates(u, op):
     dense = np.geomspace(u.times[0] / 2.0, u.times[-1], 96)
     probes_nl = [Field(u0.grid, np.abs(u.fields[j].values) ** p)
                  for j in range(0, len(u.fields), max(1, len(u.fields) // 8))]
-    sharp = _sharp_constants(params, q)
+    sharp = _sharp_constants(params, q, forced)
     data_probes = ([u0], probes_nl, [] if w is None else [w])
     c1_free, c1_nl, c1_frc = (max(c, sup_smoothing_ratio(prop, probes, dense, r, q))
                               for c, probes, r in zip(sharp, data_probes, (d, q / p, k)))
@@ -524,7 +538,7 @@ def audit_estimates(u, op):
     norm_w = 0.0 if w is None else lr_norm(w, k)
     bound_free = c1_free * norm_u0
     bound_nl = c1_nl * beta_function(a_nl, b_nl) * u.delta**p
-    bound_frc = c1_frc * beta_function(a_frc, b_frc) * norm_w
+    bound_frc = c1_frc * beta_function(a_frc, b_frc) * norm_w if forced else 0.0
 
     denom = norm_u0 + u.delta**p + norm_w
     cstar_hat = float(np.max(tb * total) / denom) if denom > 0 else math.inf

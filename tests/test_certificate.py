@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -156,8 +158,48 @@ def test_shells_sum_rejects_wrong_shape():
     # same size, or a size divisible by n: a reshape alone would accept both
     for shape in ((32 * 32,), (16, 64), (32, 64), (32, 32, 1)):
         slabs = [np.ones(shape)[rows] for rows in grid.slab_rows()]
+        threads = threading.active_count()
         with pytest.raises(ValueError, match="shape"):
             stream_forcing(shells, slabs)
+        assert threading.active_count() == threads  # the hashing thread is joined
+    # also once slabs have been handed to that thread
+    good = np.ones(grid.slab_shape)
+    with pytest.raises(ValueError, match="shape"):
+        stream_forcing(shells, [good, good, good[:1]])
+    assert threading.active_count() == threads
+
+
+def test_stream_fingerprint_keeps_slab_order_under_fast_thread_switches():
+    # 64 slabs of 32 KiB, hashed on the worker thread (hashlib releases the
+    # GIL on them) while this one sums them, with a switch every microsecond
+    g = Grid(3, 16.0, 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fingerprint = stream_forcing(Shells.of(g), profile_slabs(g, kind="gaussian"))[2]
+    finally:
+        sys.setswitchinterval(interval)
+    assert fingerprint == field_fingerprint(data_profile(g, kind="gaussian"))
+
+
+def test_stream_reraises_a_failure_of_the_hashing_thread(monkeypatch):
+    # the worker keeps draining after its failure, so the 64 slabs still pass
+    # the queue of two, and the failure is raised here once it is joined
+    class Failing:
+        calls = 0
+
+        def update(self, data):
+            Failing.calls += 1
+            if Failing.calls == 3:
+                raise MemoryError("hash failed")
+
+    monkeypatch.setattr("critex.certificate.fingerprint_hash", lambda grid: Failing())
+    g = Grid(3, 16.0, 64)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="hash failed"):
+        stream_forcing(Shells.of(g), profile_slabs(g, kind="gaussian"))
+    assert threading.active_count() == threads
+    assert Failing.calls == 3
 
 
 @pytest.mark.parametrize("sigma", [HALF, -HALF], ids=str)

@@ -1,12 +1,14 @@
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from critex import cli
 from critex.cli import main
 from critex.config import dump_config, parse_config, strip_meta
+from critex.field import Grid, data_profile, field_fingerprint
 
 SIMPLE_SIM = """\
 [params]
@@ -284,6 +286,19 @@ def test_picard_forcing_index_below_one_exits_2(tmp_path, capsys):
     assert "p* = 11" in err, err
 
 
+def test_picard_unforced_needs_no_forcing_index(tmp_path, capsys):
+    # the same parameters without w: an unforced map has no forcing term,
+    # so it needs no L^k estimate, and its forcing constant and lift are 0
+    cfg = tmp_path / "picard.ini"
+    cfg.write_text(PICARD_CFG.replace("sigma = -0.5", "sigma = -1/10").replace(
+        "w_kind = gaussian\nw_scale_length2 = 0.25\nw_amplitude_value = 0.002\n",
+        "w_kind = none\n"))
+    assert main(["picard", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "converged: True" in out and "margins_nonnegative: True" in out, out
+    assert out.splitlines()[2].endswith("forcing: 0"), out
+
+
 @pytest.mark.parametrize("line, message", [
     ("Tcap_time = -1", "tcap"), ("Tcap_time = 0", "tcap"),
     ("max_iter = 0", "max_iter"), ("tol = 0", "tol"), ("tol = -1", "tol"),
@@ -443,16 +458,37 @@ def _snapshot_bytes(header, values):
      "finite"),
 ], ids=["missing-key", "trailing-bytes", "short-payload", "nan-payload"])
 def test_certificate_bad_snapshot_exits_2(tmp_path, capsys, payload, message):
-    # a snapshot is checked as it is streamed: header, length and values
+    # a snapshot is checked as it is streamed: header, length and values;
+    # a failure mid-stream still joins the thread that hashes the slabs
     path = tmp_path / "w.field"
     path.write_bytes(payload)
     cfg = tmp_path / "cert.ini"
     cfg.write_text(SNAPSHOT_CERT_CFG.format(path=path))
+    threads = threading.active_count()
     assert main(["certificate", str(cfg)]) == 2
+    assert threading.active_count() == threads
     err = capsys.readouterr().err
     assert message in err, err
     if message != "finite":
         assert str(path) in err
+
+
+def test_certificate_manifest_fingerprints_the_streamed_forcing(tmp_path):
+    # the [fingerprints] w line is the hash of the whole field the [data]
+    # section describes, though the command only ever holds its slabs
+    data = dict(kind="gaussian", scale=0.3, amplitude=0.7, center=(0.5, -1.25, 0.25))
+    cfg = tmp_path / "cert.ini"
+    cfg.write_text(
+        "[params]\nN = 3\np = 2\nsigma = -1/2\n\n"
+        "[grid]\nL_length = 16.0\nn = 128\n\n"
+        "[data]\nw_kind = gaussian\nw_scale_length2 = 0.3\nw_amplitude_value = 0.7\n"
+        "w_center = 0.5, -1.25, 0.25\n\n"
+        "[certificate]\nT_ladder_time = 32, 64, 128\n")
+    out = tmp_path / "out"
+    assert main(["certificate", str(cfg), "--out", str(out)]) == 0
+    manifest = parse_config((out / "manifest.ini").read_text())
+    want = field_fingerprint(data_profile(Grid(3, 16.0, 128), **data))
+    assert manifest["fingerprints"]["w"] == want
 
 
 @pytest.mark.parametrize("sigma", ["-1/2", "1/2"])

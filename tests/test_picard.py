@@ -283,6 +283,22 @@ def test_measure_cstar_is_the_sharp_bound_constant():
         measure_cstar(PARAMS, 100.0)
 
 
+def test_unforced_cstar_drops_the_forcing_term():
+    # N = 2, p = 4, sigma = -1/10 has k = 30/37 < 1: the forced map has no
+    # bound, the unforced one the larger of its free and nonlinear constants
+    params = Params(2, 4, Fraction(-1, 10))
+    der = derive(params)
+    q, beta = float(der.q_default), float(der.beta)
+    with pytest.raises(ValueError, match="forcing index"):
+        measure_cstar(params, q)
+    want = max(sharp_smoothing_constant(2, float(der.data_index), q),
+               sharp_smoothing_constant(2, q / 4.0, q)
+               * beta_quadrature(1.0 - 4.0 * beta, 1.0 - 3.0 / (2.0 * q)))
+    assert measure_cstar(params, q, forced=False) == pytest.approx(want, rel=1e-12)
+    # where k >= 1 the forcing term only ever raises the constant
+    assert measure_cstar(PARAMS, Q, forced=False) <= measure_cstar(PARAMS, Q)
+
+
 def test_solution_map_validates_q_and_ladder():
     g = Grid(2, 8.0, 32)
     times = geometric_ladder(2.0, 8)

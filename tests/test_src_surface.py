@@ -5,8 +5,9 @@ A function, class or method that only the tests call belongs in the tests
 an import alias anywhere in the package counts, whatever object it refers to.
 
 The package also keeps to one numeric backend: numpy alone.  scipy serves only
-the test oracles.  And it writes 17-digit numbers in three places only: its
-CSV writer, its printed numbers and its snapshot header.
+the test oracles.  It writes 17-digit numbers in three places only: its
+CSV writer, its printed numbers and its snapshot header.  And only the
+certificate, which hashes its forcing on a worker thread, imports threading.
 """
 
 import ast
@@ -82,6 +83,17 @@ def test_src_imports_no_scipy():
         found.update(name for name in _imported_modules(tree)
                      if name.split(".")[0] == "scipy")
     assert found == set(), found
+
+
+def test_only_the_certificate_starts_threads():
+    # the benchmark tracer keeps one span stack, so no traced function may
+    # run on a second thread; certificate.stream_forcing's worker calls none
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(name.split(".")[0] in ("threading", "queue") for name in _imported_modules(tree)):
+            found.add(path.name)
+    assert found == {"certificate.py"}, found
 
 
 def test_cli_import_loads_no_scipy():
